@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Run the cross-check battery and print a timing table.
 
-Usage: run_corpus.py [--only SUBSTRING] [--seed N] [--threads N]
+Usage: run_corpus.py [--only SUBSTRING] [--seed N]
 """
 
 import argparse
-import os
 import sys
 
 from rayleigh_forge.corpus import run_corpus
@@ -16,10 +15,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--only", default=None)
     ap.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
-    ap.add_argument("--threads", type=int, default=None)
     args = ap.parse_args()
-    if args.threads is not None:
-        os.environ["RAYLEIGH_FORGE_THREADS"] = str(args.threads)
     results = run_corpus(only=args.only, seed=args.seed)
     width = max((len(r.name) for r in results), default=10)
     for r in results:

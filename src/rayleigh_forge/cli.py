@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -27,7 +26,7 @@ from .fileio import (
     parse_weight_file,
     poly_payload,
 )
-from .matroids import Matroid, SetSystem, graphic_matroid, invariant_sequences, matroid_from_bases
+from .matroids import Matroid, graphic_matroid, invariant_sequences, matroid_from_bases
 from .polynomials import SubsetPoly, poly_text
 from .potts import Model, ModelPoly, model_poly, potts_poly, twosum_compose
 from .prng import DEFAULT_SEED
@@ -77,7 +76,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", default=hex(DEFAULT_SEED), help="PRNG seed (decimal or 0x hex)")
     common.add_argument("--json", metavar="PATH", default=None, help="write the JSON report here")
-    common.add_argument("--threads", type=int, default=None, help="cap worker threads")
+    common.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     return common
 
 
@@ -490,8 +489,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.threads is not None:
-        os.environ["RAYLEIGH_FORGE_THREADS"] = str(args.threads)
     try:
         seed = int(str(args.seed), 0)
     except ValueError:

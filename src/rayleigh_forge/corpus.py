@@ -12,10 +12,8 @@ the run seed independently, so filtering does not change outcomes.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +38,6 @@ from .polynomials import (
     GroundSet,
     SubsetPoly,
     SymSeq,
-    _popcount,
     mmatrix_weights,
     monomial_symmetric_expand,
     quad_multiply_disjoint,
@@ -83,6 +80,7 @@ from .supports import (
     size_window_sums,
     support,
 )
+from .words import popcount
 
 
 @dataclass(frozen=True)
@@ -209,7 +207,7 @@ def _random_weight_poly(rng: SplitMix64, m: int) -> SubsetPoly:
 
 
 def _flatten_size_estimate(z: SubsetPoly) -> int:
-    counts = Counter(_popcount(w) for w, c in z.terms.items() if c)
+    counts = Counter(popcount(w) for w, c in z.terms.items() if c)
     r = max(counts)
     ell = r - min(counts)
     return sum(cnt * comb(ell, r - k) for k, cnt in counts.items())
@@ -706,26 +704,21 @@ def run_corpus(
     seed: int = DEFAULT_SEED,
     extra_polys: Sequence[tuple[str, SubsetPoly]] = (),
 ) -> list[ItemResult]:
-    """Run the battery (or the substring-selected part of it) and collect results.
+    """Run the battery (or the substring-selected part of it) in registry order
+    and collect results.
 
-    Results come back in registry order regardless of thread fan-out, and each
-    item's randomness is derived from the seed alone, so a filtered run returns
-    the same verdicts the full run would.
+    Each item's randomness is derived from the seed alone, so a filtered run
+    returns the same verdicts the full run would.
     """
     ctx = CorpusContext(seed=seed, polys=corpus_polys() + tuple(extra_polys))
-    selected = [(name, fn) for name, fn in ITEM_ORDER if only is None or only in name]
-
-    def run_one(entry: tuple[str, Callable]) -> ItemResult:
-        name, fn = entry
+    results = []
+    for name, fn in ITEM_ORDER:
+        if only is not None and only not in name:
+            continue
         start = time.perf_counter()
         try:
             passed, detail = fn(ctx)
         except Exception as exc:
             passed, detail = False, f"exception: {exc!r}"
-        return ItemResult(name, passed, detail, time.perf_counter() - start)
-
-    threads = int(os.environ.get("RAYLEIGH_FORGE_THREADS", "1") or "1")
-    if threads > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, selected))
-    return [run_one(entry) for entry in selected]
+        results.append(ItemResult(name, passed, detail, time.perf_counter() - start))
+    return results

@@ -212,24 +212,3 @@ def poly_payload(p: SubsetPoly | QuadPoly) -> list[dict]:
             }
         )
     return out
-
-
-def point_payload(point) -> dict:
-    return {lab: format_rat(v) for lab, v in sorted(point.items())}
-
-
-def parse_point(text: str) -> dict[str, Fraction]:
-    """`a=1,b=3/2` into a label -> rational map."""
-    out: dict[str, Fraction] = {}
-    for piece in text.split(","):
-        if "=" not in piece:
-            raise InputFormatError(f"expected `label=p/q`, got {piece!r}")
-        lab, _, val = piece.partition("=")
-        lab = lab.strip()
-        if not lab or lab in out:
-            raise InputFormatError(f"bad or repeated label in point: {piece!r}")
-        try:
-            out[lab] = parse_rat(val)
-        except ValueError as exc:
-            raise InputFormatError(str(exc)) from None
-    return out

@@ -16,13 +16,9 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .polynomials import (
-    GroundSet,
-    SubsetPoly,
-    _popcount,
-    det_exact,
-)
+from .polynomials import GroundSet, SubsetPoly, det_exact
 from .prng import SplitMix64
+from .words import expand, popcount, term_value
 
 ENUM_LIMIT = 24
 
@@ -82,18 +78,19 @@ class SetSystem:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        words = tuple(sorted(set(self.members)))
-        object.__setattr__(self, "members", words)
+        member_set = frozenset(self.members)
         full = self.ground.full
-        for w in words:
+        for w in member_set:
             if w & ~full:
                 raise ValueError("member outside the ground set")
+        object.__setattr__(self, "members", tuple(sorted(member_set)))
+        object.__setattr__(self, "_member_set", member_set)
 
     def __contains__(self, word: int) -> bool:
-        return word in set(self.members)
+        return word in self._member_set
 
     def member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
+        return self._member_set
 
     def labels(self) -> list[tuple[str, ...]]:
         return [self.ground.labels_of(w) for w in self.members]
@@ -197,21 +194,21 @@ class Matroid:
 
     def delete(self, label: str) -> "Matroid":
         sub = self.ground.without(label)
-        positions = tuple(self.ground.index(lab) for lab in sub.labels)
+        positions = tuple(map(self.ground.index, sub.labels))
 
         def rank_word(w: int) -> int:
-            return self.rank(_expand(w, positions))
+            return self.rank(expand(w, positions))
 
         return Matroid(sub, rank_word, ("delete", self.provenance, label), check=False)
 
     def contract(self, label: str) -> "Matroid":
         sub = self.ground.without(label)
-        positions = tuple(self.ground.index(lab) for lab in sub.labels)
+        positions = tuple(map(self.ground.index, sub.labels))
         bit = self.ground.bit(label)
         base = self.rank(bit)
 
         def rank_word(w: int) -> int:
-            return self.rank(_expand(w, positions) | bit) - base
+            return self.rank(expand(w, positions) | bit) - base
 
         return Matroid(sub, rank_word, ("contract", self.provenance, label), check=False)
 
@@ -220,23 +217,12 @@ class Matroid:
         r = self.r
 
         def rank_word(w: int) -> int:
-            return _popcount(w) + self.rank(full ^ w) - r
+            return popcount(w) + self.rank(full ^ w) - r
 
         return Matroid(self.ground, rank_word, ("dual", self.provenance), check=False)
 
     def __repr__(self):
         return f"Matroid(m={self.ground.m}, r={self.r}, provenance={self.provenance!r})"
-
-
-def _expand(word: int, positions: tuple[int, ...]) -> int:
-    out = 0
-    i = 0
-    while word:
-        if word & 1:
-            out |= 1 << positions[i]
-        word >>= 1
-        i += 1
-    return out
 
 
 def uniform_matroid(m: int, r: int, labels: Iterable[str] | None = None) -> Matroid:
@@ -245,7 +231,7 @@ def uniform_matroid(m: int, r: int, labels: Iterable[str] | None = None) -> Matr
     ground = GroundSet(labels if labels is not None else (str(i + 1) for i in range(m)))
     if ground.m != m:
         raise ValueError("label count does not match m")
-    return Matroid(ground, lambda w: min(r, _popcount(w)), ("uniform", m, r), check=False)
+    return Matroid(ground, lambda w: min(r, popcount(w)), ("uniform", m, r), check=False)
 
 
 def graphic_matroid(graph: Graph) -> Matroid:
@@ -275,7 +261,7 @@ def matroid_from_bases(system: SetSystem) -> Matroid:
     members = system.members
     if not members:
         raise ValueError("a matroid needs at least one basis")
-    sizes = {_popcount(w) for w in members}
+    sizes = {popcount(w) for w in members}
     if len(sizes) != 1:
         raise ValueError("bases are not equicardinal")
     witness = exchange_axiom_witness(members)
@@ -290,7 +276,7 @@ def matroid_from_bases(system: SetSystem) -> Matroid:
     basis_list = list(members)
 
     def rank_word(w: int) -> int:
-        return max(_popcount(w & b) for b in basis_list)
+        return max(popcount(w & b) for b in basis_list)
 
     r = next(iter(sizes))
     m = system.ground.m
@@ -318,16 +304,16 @@ def two_sum(left: Matroid, right: Matroid, glue: str) -> Matroid:
     llabels = [lab for lab in left.ground.labels if lab != glue]
     rlabels = [lab for lab in right.ground.labels if lab != glue]
     ground = GroundSet(llabels + rlabels)
-    lpos = tuple(left.ground.index(lab) for lab in llabels)
-    rpos = tuple(right.ground.index(lab) for lab in rlabels)
+    lpos = tuple(map(left.ground.index, llabels))
+    rpos = tuple(map(right.ground.index, rlabels))
     nl = len(llabels)
     lmask = (1 << nl) - 1
     lbit = left.ground.bit(glue)
     rbit = right.ground.bit(glue)
 
     def rank_word(w: int) -> int:
-        wl = _expand(w & lmask, lpos)
-        wr = _expand(w >> nl, rpos)
+        wl = expand(w & lmask, lpos)
+        wr = expand(w >> nl, rpos)
         rl, rr = left.rank(wl), right.rank(wr)
         nu = int(left.rank(wl | lbit) == rl and right.rank(wr | rbit) == rr)
         return rl + rr - nu
@@ -342,25 +328,18 @@ def parallel_extend(matroid: Matroid, multiplicity: Mapping[str, int]) -> Matroi
     Missing entries default to multiplicity one.
     """
     new_labels: list[str] = []
-    origin_bits: list[int] = []
-    for lab in matroid.ground.labels:
+    origins: list[int] = []
+    for pos, lab in enumerate(matroid.ground.labels):
         count = multiplicity.get(lab, 1)
         if count < 1:
             raise ValueError(f"multiplicity of {lab!r} must be positive")
         for i in range(1, count + 1):
             new_labels.append(lab if i == 1 else f"{lab}#{i}")
-            origin_bits.append(matroid.ground.bit(lab))
+            origins.append(pos)
     ground = GroundSet(new_labels)
 
     def rank_word(w: int) -> int:
-        orig = 0
-        i = 0
-        while w:
-            if w & 1:
-                orig |= origin_bits[i]
-            w >>= 1
-            i += 1
-        return matroid.rank(orig)
+        return matroid.rank(expand(w, origins))
 
     return Matroid(ground, rank_word, ("parallel", matroid.provenance), check=False)
 
@@ -375,11 +354,11 @@ def enumerate_family(matroid: Matroid, kind: str) -> SetSystem:
     for w in matroid.ground.subsets():
         rk = matroid.rank(w)
         if kind == "independent":
-            ok = rk == _popcount(w)
+            ok = rk == popcount(w)
         elif kind == "spanning":
             ok = rk == r
         elif kind == "bases":
-            ok = rk == r and rk == _popcount(w)
+            ok = rk == r and rk == popcount(w)
         else:
             raise ValueError(f"unknown family kind {kind!r}")
         if ok:
@@ -414,11 +393,11 @@ def invariant_sequences(matroid: Matroid, fixed: Iterable[str] | None = None) ->
     W = [0] * (r + 1)
     char = [0] * (r + 1)  # coefficient of t^j at index j
     fixed_word = matroid.ground.word(fixed) if fixed is not None else None
-    cmax = min(r, _popcount(fixed_word)) if fixed_word is not None else 0
+    cmax = min(r, popcount(fixed_word)) if fixed_word is not None else 0
     c = [0] * (cmax + 1) if fixed_word is not None else None
     for w in matroid.ground.subsets():
         rk = matroid.rank(w)
-        size = _popcount(w)
+        size = popcount(w)
         if rk == size:
             I[size] += 1
         char[r - rk] += -1 if size & 1 else 1
@@ -433,7 +412,7 @@ def invariant_sequences(matroid: Matroid, fixed: Iterable[str] | None = None) ->
         if is_flat:
             W[rk] += 1
         if c is not None and rk == size == r:
-            c[_popcount(w & fixed_word)] += 1
+            c[popcount(w & fixed_word)] += 1
     chi = tuple(abs(char[r - k]) for k in range(r + 1))
     # Solve sum(I_k t^k) = sum(h_k t^k (1+t)^(r-k)) by triangular elimination.
     h: list[Fraction] = []
@@ -508,7 +487,7 @@ def forest_weights(graph: Graph) -> tuple[SubsetPoly, ForestCharpolyRecord]:
         for s in sizes.values():
             weight *= s
         terms[w] = Fraction(weight)
-        sums[_popcount(w)] += weight
+        sums[popcount(w)] += weight
     poly = SubsetPoly(ground, terms)
     ones = {lab: Fraction(1) for lab in ground.labels}
     charpoly = weighted_laplacian_charpoly(graph, ones)
@@ -574,15 +553,10 @@ def forest_identity_at(graph: Graph, y: Mapping[str, Fraction]) -> bool:
     """Check sum_S w(S) y^S t^(n-|S|) == det(tI + D diag(y) D^T) at rational y."""
     poly, _ = forest_weights(graph)
     n = graph.n
+    vals = [Fraction(y[lab]) for _, _, lab in graph.edges]
     lhs = [Fraction(0)] * (n + 1)
     for w, c in poly.terms.items():
-        val = c
-        rest = w
-        while rest:
-            low = rest & -rest
-            val *= Fraction(y[graph.edges[low.bit_length() - 1][2]])
-            rest ^= low
-        lhs[n - _popcount(w)] += val
+        lhs[n - popcount(w)] += term_value(c, vals, w)
     return tuple(lhs) == weighted_laplacian_charpoly(graph, y)
 
 

@@ -23,13 +23,10 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from .scalars import LaurentQ, format_rat
+from .scalars import format_rat
+from .words import compress, expand, popcount, term_value
 
 MAX_GROUND = 30
-
-
-def _popcount(word: int) -> int:
-    return word.bit_count()
 
 
 class GroundSet:
@@ -99,26 +96,6 @@ def canonical_ground(m: int) -> GroundSet:
     return GroundSet(str(i) for i in range(1, m + 1))
 
 
-def _compress_word(word: int, keep_positions: tuple[int, ...]) -> int:
-    out = 0
-    for j, pos in enumerate(keep_positions):
-        if word >> pos & 1:
-            out |= 1 << j
-    return out
-
-
-def _expand_word(word: int, keep_positions: tuple[int, ...]) -> int:
-    out = 0
-    for j, pos in enumerate(keep_positions):
-        if word >> j & 1:
-            out |= 1 << pos
-    return out
-
-
-def _keep_positions(ground: GroundSet, sub: GroundSet) -> tuple[int, ...]:
-    return tuple(ground.index(lab) for lab in sub.labels)
-
-
 class SubsetPoly:
     """Sparse multiaffine polynomial: word -> coefficient, zeros dropped."""
 
@@ -173,44 +150,25 @@ class SubsetPoly:
 
     # slices ----------------------------------------------------------------
 
-    def _delete_bit(self, bit: int) -> dict[int, object]:
-        return {w: c for w, c in self.terms.items() if not w & bit}
-
-    def _contract_bit(self, bit: int) -> dict[int, object]:
-        return {w ^ bit: c for w, c in self.terms.items() if w & bit}
-
     def delete(self, label: str) -> "SubsetPoly":
         """Set y_label = 0 and drop the variable from the ground set."""
-        bit = self.ground.bit(label)
-        sub = self.ground.without(label)
-        keep = _keep_positions(self.ground, sub)
-        terms = {_compress_word(w, keep): c for w, c in self._delete_bit(bit).items()}
-        return SubsetPoly(sub, terms)
+        return self._slice_out(label, keep=0, zero=self.ground.bit(label))
 
     def contract(self, label: str) -> "SubsetPoly":
         """d/dy_label, dropping the variable from the ground set."""
-        bit = self.ground.bit(label)
+        return self._slice_out(label, keep=self.ground.bit(label), zero=0)
+
+    def _slice_out(self, label: str, keep: int, zero: int) -> "SubsetPoly":
         sub = self.ground.without(label)
-        keep = _keep_positions(self.ground, sub)
-        terms = {_compress_word(w, keep): c for w, c in self._contract_bit(bit).items()}
-        return SubsetPoly(sub, terms)
+        pos = tuple(map(self.ground.index, sub.labels))
+        sliced = _slice_bits(self.terms, keep, zero)
+        return SubsetPoly(sub, {compress(w, pos): c for w, c in sliced.items()})
 
     # evaluation and transforms ----------------------------------------------
 
     def evaluate(self, point: Mapping[str, Fraction]):
         vals = [point[lab] for lab in self.ground.labels]
-        total = None
-        for w, c in self.terms.items():
-            prod = c
-            rest = w
-            while rest:
-                low = rest & -rest
-                prod = prod * vals[low.bit_length() - 1]
-                rest ^= low
-            total = prod if total is None else total + prod
-        if total is None:
-            return Fraction(0)
-        return total
+        return sum((term_value(c, vals, w) for w, c in self.terms.items()), Fraction(0))
 
     def dualize(self) -> "SubsetPoly":
         """Swap the coefficient of y^S with the coefficient of y^(E \\ S)."""
@@ -221,41 +179,21 @@ class SubsetPoly:
         """Re-key onto a ground set with the same labels in another order."""
         if set(ground.labels) != set(self.ground.labels):
             raise ValueError("ground sets hold different labels")
-        pos = tuple(ground.index(lab) for lab in self.ground.labels)
-        return SubsetPoly(ground, {_expand_word_positions(w, pos): c for w, c in self.terms.items()})
-
-    def as_quad(self) -> "QuadPoly":
-        return QuadPoly(self.ground, {(w, 0): c for w, c in self.terms.items()})
-
-    def support_words(self) -> list[int]:
-        return sorted(self.terms)
+        pos = tuple(map(ground.index, self.ground.labels))
+        return SubsetPoly(ground, {expand(w, pos): c for w, c in self.terms.items()})
 
     def max_support_size(self) -> int:
-        return max((_popcount(w) for w in self.terms), default=0)
-
-    def min_support_size(self) -> int:
-        return min((_popcount(w) for w in self.terms), default=0)
+        return max(map(popcount, self.terms), default=0)
 
     def __repr__(self):
         return f"SubsetPoly({poly_text(self)})"
-
-
-def _expand_word_positions(word: int, positions: tuple[int, ...]) -> int:
-    out = 0
-    i = 0
-    while word:
-        if word & 1:
-            out |= 1 << positions[i]
-        word >>= 1
-        i += 1
-    return out
 
 
 def poly_text(poly: "SubsetPoly") -> str:
     if not poly.terms:
         return "0"
     parts = []
-    for w in sorted(poly.terms, key=lambda w: (_popcount(w), w)):
+    for w in sorted(poly.terms, key=lambda w: (popcount(w), w)):
         c = poly.terms[w]
         mono = "*".join(f"y[{lab}]" for lab in poly.ground.labels_of(w)) or "1"
         cs = format_rat(c) if isinstance(c, Fraction) else f"({c})"
@@ -336,39 +274,25 @@ class QuadPoly:
 
     def evaluate(self, point: Mapping[str, Fraction]):
         vals = [point[lab] for lab in self.ground.labels]
-        total = None
-        for (sup, sq), c in self.terms.items():
-            prod = c
-            rest = sup
-            while rest:
-                low = rest & -rest
-                v = vals[low.bit_length() - 1]
-                prod = prod * (v * v if sq & low else v)
-                rest ^= low
-            total = prod if total is None else total + prod
-        if total is None:
-            return Fraction(0)
-        return total
+        return sum((term_value(c, vals, sup, sq) for (sup, sq), c in self.terms.items()), Fraction(0))
 
     def restricted(self, sub: GroundSet) -> "QuadPoly":
         """Move to a smaller ground set; the dropped variables must be absent."""
-        keep = _keep_positions(self.ground, sub)
-        keep_mask = 0
-        for pos in keep:
-            keep_mask |= 1 << pos
+        keep = tuple(map(self.ground.index, sub.labels))
+        keep_mask = expand(sub.full, keep)
         out = {}
         for (sup, sq), c in self.terms.items():
             if sup & ~keep_mask:
                 raise ValueError("restriction drops a variable still in use")
-            out[(_compress_word(sup, keep), _compress_word(sq, keep))] = c
+            out[(compress(sup, keep), compress(sq, keep))] = c
         return QuadPoly(sub, out)
 
     def embedded(self, ground: GroundSet) -> "QuadPoly":
         """Re-key onto a larger (or reordered) ground set containing our labels."""
-        pos = tuple(ground.index(lab) for lab in self.ground.labels)
+        pos = tuple(map(ground.index, self.ground.labels))
         out = {}
         for (sup, sq), c in self.terms.items():
-            out[(_expand_word_positions(sup, pos), _expand_word_positions(sq, pos))] = c
+            out[(expand(sup, pos), expand(sq, pos))] = c
         return QuadPoly(ground, out)
 
     def times_variable(self, label: str, power: int) -> "QuadPoly":
@@ -383,22 +307,11 @@ class QuadPoly:
             out[(sup | bit, sq | (bit if power == 2 else 0))] = c
         return QuadPoly(self.ground, out)
 
-    def delete(self, label: str) -> "QuadPoly":
-        bit = self.ground.bit(label)
-        sub = self.ground.without(label)
-        keep = _keep_positions(self.ground, sub)
-        out = {}
-        for (sup, sq), c in self.terms.items():
-            if sup & bit:
-                continue
-            out[(_compress_word(sup, keep), _compress_word(sq, keep))] = c
-        return QuadPoly(sub, out)
-
     def contract(self, label: str) -> "QuadPoly":
         """Coefficient-of-y slice; rejects terms where the variable is squared."""
         bit = self.ground.bit(label)
         sub = self.ground.without(label)
-        keep = _keep_positions(self.ground, sub)
+        keep = tuple(map(self.ground.index, sub.labels))
         out = {}
         for (sup, sq), c in self.terms.items():
             if sq & bit:
@@ -408,7 +321,7 @@ class QuadPoly:
                 )
             if not sup & bit:
                 continue
-            out[(_compress_word(sup ^ bit, keep), _compress_word(sq, keep))] = c
+            out[(compress(sup ^ bit, keep), compress(sq, keep))] = c
         return QuadPoly(sub, out)
 
     def min_coefficient(self) -> Fraction:
@@ -423,10 +336,10 @@ class QuadPoly:
         """Coefficient list of P(t,...,t) in t; exact."""
         degree = 0
         for sup, sq in self.terms:
-            degree = max(degree, _popcount(sup) + _popcount(sq))
+            degree = max(degree, popcount(sup) + popcount(sq))
         out = [Fraction(0)] * (degree + 1)
         for (sup, sq), c in self.terms.items():
-            out[_popcount(sup) + _popcount(sq)] += c
+            out[popcount(sup) + popcount(sq)] += c
         return out
 
     def __repr__(self):
@@ -520,14 +433,8 @@ def rayleigh_diff(z: SubsetPoly, e: str, f: str) -> QuadPoly:
 
 def _slice_bits(terms: Mapping[int, object], keep: int, zero: int) -> dict[int, object]:
     """Take d/dy on `keep` bits and set `zero` bits to zero, staying word-keyed."""
-    out = {}
-    for w, c in terms.items():
-        if w & zero:
-            continue
-        if (w & keep) != keep:
-            continue
-        out[w ^ keep] = c
-    return out
+    mask = keep | zero
+    return {w ^ keep: c for w, c in terms.items() if w & mask == keep}
 
 
 def theta(z: SubsetPoly, e: str, f: str, g: str) -> QuadPoly:
@@ -590,17 +497,8 @@ def symmetrize(z: SubsetPoly) -> SymSeq:
     m = z.ground.m
     sums = [Fraction(0)] * (m + 1)
     for w, c in z.terms.items():
-        sums[_popcount(w)] += c
+        sums[popcount(w)] += c
     return SymSeq(sums[k] / comb(m, k) for k in range(m + 1))
-
-
-def size_sums(z: SubsetPoly) -> list[Fraction]:
-    """f_k: total weight on size-k subsets."""
-    m = z.ground.m
-    sums = [Fraction(0)] * (m + 1)
-    for w, c in z.terms.items():
-        sums[_popcount(w)] += c
-    return sums
 
 
 def symseq_to_poly(seq: SymSeq, ground: GroundSet | None = None) -> SubsetPoly:
@@ -611,7 +509,7 @@ def symseq_to_poly(seq: SymSeq, ground: GroundSet | None = None) -> SubsetPoly:
         raise ValueError("ground set size does not match the sequence")
     terms = {}
     for w in ground.subsets():
-        c = seq.entries[_popcount(w)]
+        c = seq.entries[popcount(w)]
         if c:
             terms[w] = c
     return SubsetPoly(ground, terms)

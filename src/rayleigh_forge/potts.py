@@ -21,9 +21,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from .matroids import Matroid, enumerate_family
-from .polynomials import GroundSet, SubsetPoly, _popcount, multiply_disjoint
-from .prng import SplitMix64, derive, sample_point, unit_fraction
-from .scalars import LaurentQ
+from .polynomials import GroundSet, SubsetPoly, _slice_bits, multiply_disjoint
+from .prng import derive, sample_point, unit_fraction
+from .scalars import ONE_MINUS_Q, LaurentQ
+from .words import compress, expand, popcount
 
 MODEL_KINDS = ("bases", "independent", "spanning", "potts")
 
@@ -114,9 +115,9 @@ def _loop_status_from_poly(mp: ModelPoly, label: str) -> bool:
         c = z.coeff(bit)
         return c == 1 if isinstance(c, Fraction) else c == LaurentQ.constant(1)
     if kind in ("bases", "independent"):
-        return not z._contract_bit(bit)
+        return not _slice_bits(z.terms, keep=bit, zero=0)
     # spanning: a loop never changes spanning-ness, so the two slices agree
-    return set(z._contract_bit(bit)) == set(z._delete_bit(bit))
+    return set(_slice_bits(z.terms, keep=bit, zero=0)) == set(_slice_bits(z.terms, keep=0, zero=bit))
 
 
 def _coloop_status_from_poly(mp: ModelPoly, label: str) -> bool:
@@ -132,13 +133,11 @@ def _coloop_status_from_poly(mp: ModelPoly, label: str) -> bool:
         if q0 == 1:
             raise ValueError("cannot classify elements at q0 = 1 without the matroid")
         return ce == cf * q0
-    if kind == "bases":
-        return not z._delete_bit(bit)
-    if kind == "spanning":
-        return not z._delete_bit(bit)
+    deleted = _slice_bits(z.terms, keep=0, zero=bit)
+    if kind in ("bases", "spanning"):
+        return not deleted
     # independent: deleting a coloop lowers the maximum independent size
-    deleted = z._delete_bit(bit)
-    return max(map(_popcount, deleted), default=0) < z.max_support_size()
+    return max(map(popcount, deleted), default=0) < z.max_support_size()
 
 
 def is_loop_element(mp: ModelPoly, label: str) -> bool:
@@ -217,15 +216,14 @@ def potts_slices(mp: ModelPoly, label: str, samples: int = 0, seed: int = 0xD1CE
         z = mp.poly
         bit = z.ground.bit(label)
         sub = z.ground.without(label)
+        pos = tuple(map(z.ground.index, sub.labels))
         # reconstruction: compare coefficients of Z against Z^g + q^-1 y_g Z_g
         recon = True
         for w, c in z.terms.items():
             if w & bit:
-                expect = LaurentQ.q_power(-1) * con_poly.terms.get(
-                    _compress(z.ground, sub, w ^ bit), LaurentQ.zero()
-                )
+                expect = LaurentQ.q_power(-1) * con_poly.terms.get(compress(w, pos), LaurentQ.zero())
             else:
-                expect = del_poly.terms.get(_compress(z.ground, sub, w), LaurentQ.zero())
+                expect = del_poly.terms.get(compress(w, pos), LaurentQ.zero())
             if LaurentQ.coerce(c) != LaurentQ.coerce(expect):
                 recon = False
                 break
@@ -234,7 +232,7 @@ def potts_slices(mp: ModelPoly, label: str, samples: int = 0, seed: int = 0xD1CE
         spanned: dict[int, LaurentQ] = {}
         unspanned: dict[int, LaurentQ] = {}
         for w in sub.subsets():
-            orig = _expand_to(z.ground, sub, w)
+            orig = expand(w, pos)
             weight = LaurentQ.q_power(-matroid.rank(orig))
             if matroid.in_closure(orig, label):
                 spanned[w] = weight
@@ -371,34 +369,9 @@ def slice_inequality_scan(
     ]
 
 
-def _compress(big: GroundSet, small: GroundSet, word: int) -> int:
-    out = 0
-    for j, lab in enumerate(small.labels):
-        if word >> big.index(lab) & 1:
-            out |= 1 << j
-    return out
-
-
-def _expand_to(big: GroundSet, small: GroundSet, word: int) -> int:
-    out = 0
-    for j, lab in enumerate(small.labels):
-        if word >> j & 1:
-            out |= 1 << big.index(lab)
-    return out
-
-
 def _eval_at_q(poly: SubsetPoly, q0: Fraction, point: Mapping[str, Fraction]) -> Fraction:
-    vals = [point[lab] for lab in poly.ground.labels]
-    total = Fraction(0)
-    for w, c in poly.terms.items():
-        v = c.evaluate(q0) if isinstance(c, LaurentQ) else c
-        rest = w
-        while rest:
-            low = rest & -rest
-            v *= vals[low.bit_length() - 1]
-            rest ^= low
-        total += v
-    return total
+    terms = {w: c.evaluate(q0) if isinstance(c, LaurentQ) else c for w, c in poly.terms.items()}
+    return SubsetPoly(poly.ground, terms).evaluate(point)
 
 
 # --- two-sum composition --------------------------------------------------------
@@ -463,9 +436,7 @@ def _q_scalar(model: Model):
 
 
 def _one_minus_q_scalar(model: Model):
-    if model.symbolic:
-        return LaurentQ(0, (Fraction(1), Fraction(-1)))
-    return 1 - model.q0
+    return ONE_MINUS_Q if model.symbolic else 1 - model.q0
 
 
 def _divide_one_minus_q(poly: SubsetPoly, model: Model) -> SubsetPoly:
@@ -496,7 +467,7 @@ def scaling_limit_support(matroid: Matroid, alpha: Fraction) -> frozenset[int]:
     arg: list[int] = []
     for w in matroid.ground.subsets():
         rk = matroid.rank(w)
-        expo = (1 - alpha) * (r - rk) + alpha * (_popcount(w) - rk)
+        expo = (1 - alpha) * (r - rk) + alpha * (popcount(w) - rk)
         if best is None or expo < best:
             best = expo
             arg = [w]

@@ -15,8 +15,6 @@ that finds no negative point is only ever Inconclusive.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -29,13 +27,13 @@ from .polynomials import (
     canonical_ground,
     elementary_values,
     rayleigh_diff,
-    size_sums,
     symmetrize,
     symseq_to_poly,
     theta,
 )
-from .prng import DEFAULT_SEED, SplitMix64, derive, log_uniform_fraction, sample_point, unit_fraction
+from .prng import DEFAULT_SEED, SplitMix64, derive, log_uniform_fraction, sample_point
 from .scalars import format_rat
+from .words import compress, term_value
 
 
 @dataclass(frozen=True)
@@ -149,12 +147,7 @@ def covariance(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction]) -> 
     p_f = Fraction(0)
     p_ef = Fraction(0)
     for w, c in z.terms.items():
-        mass = c
-        rest = w
-        while rest:
-            low = rest & -rest
-            mass *= vals[low.bit_length() - 1]
-            rest ^= low
+        mass = term_value(c, vals, w)
         total += mass
         if w & be:
             p_e += mass
@@ -239,27 +232,18 @@ class PairSweep:
 
 
 def check_all(z: SubsetPoly, strategy: Strategy, budget: int | None = None) -> PairSweep:
-    """Every unordered pair.  Sampling derives one child stream per pair, so
-    results do not depend on scheduling; RAYLEIGH_FORGE_THREADS > 1 fans the
-    pairs out over a thread pool."""
+    """Every unordered pair, in label order.  Sampling gives pair number idx
+    its own stream derive(seed, idx), so a pair's verdict is the one
+    check_pair returns for that pair alone."""
     labels = z.ground.labels
     pairs = [(labels[i], labels[j]) for i in range(len(labels)) for j in range(i + 1, len(labels))]
-
-    def job(idx_pair):
-        idx, (e, f) = idx_pair
+    verdicts = {}
+    for idx, (e, f) in enumerate(pairs):
         strat = strategy
         if isinstance(strategy, SampleStrategy):
             n = budget if budget is not None else strategy.samples
             strat = SampleStrategy(n, derive(strategy.seed, idx).next_u64())
-        return (e, f), check_pair(z, e, f, strat)
-
-    threads = int(os.environ.get("RAYLEIGH_FORGE_THREADS", "1") or "1")
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, enumerate(pairs)))
-    else:
-        results = [job(item) for item in enumerate(pairs)]
-    verdicts = dict(results)
+        verdicts[(e, f)] = check_pair(z, e, f, strat)
     if any(v.refuted for v in verdicts.values()):
         summary = "refuted"
     elif any(v.status == "inconclusive" for v in verdicts.values()):
@@ -490,27 +474,14 @@ def negative_association_check(
         if v <= 0:
             raise ValueError(f"coordinate {lab!r} must be positive")
 
-    w1 = [z.ground.bit(lab) for lab in b1]
-    w2 = [z.ground.bit(lab) for lab in b2]
-
-    def trace(word: int, bits: list[int]) -> int:
-        out = 0
-        for i, b in enumerate(bits):
-            if word & b:
-                out |= 1 << i
-        return out
-
+    pos1 = tuple(map(z.ground.index, b1))
+    pos2 = tuple(map(z.ground.index, b2))
     vals = [point[lab] for lab in z.ground.labels]
     masses: list[tuple[int, int, Fraction]] = []
     total = Fraction(0)
     for w, c in z.terms.items():
-        mass = c
-        rest = w
-        while rest:
-            low = rest & -rest
-            mass *= vals[low.bit_length() - 1]
-            rest ^= low
-        masses.append((trace(w, w1), trace(w, w2), mass))
+        mass = term_value(c, vals, w)
+        masses.append((compress(w, pos1), compress(w, pos2), mass))
         total += mass
 
     fams1 = _upward_closed_families(len(b1))
@@ -636,7 +607,12 @@ def estimate_qc(
             q0 = Fraction(num, 4)
             verdict = exchangeable_check(uniform_potts_symseq(m, r, q0), find_witness=False)
             tested.append((q0, verdict.status))
-        return QcBracket(passed=Fraction(1), refuted=None, exact=True, tested=tuple(tested))
+        return QcBracket(
+            passed=max((q for q, s in tested if s == "verified"), default=Fraction(0)),
+            refuted=min((q for q, s in tested if s == "refuted"), default=None),
+            exact=True,
+            tested=tuple(tested),
+        )
 
     lo, hi = Fraction(0), Fraction(1)
     passed = Fraction(0)

@@ -14,11 +14,6 @@ the arithmetic obvious.  The zero value is the empty span.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
-
-Rat = Fraction
-
-Scalar = Union[Fraction, "LaurentQ"]
 
 
 def parse_rat(text: str) -> Fraction:
@@ -104,16 +99,6 @@ class LaurentQ:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return Fraction(0)
-
-    def is_constant(self) -> bool:
-        return not self.coeffs or (len(self.coeffs) == 1 and self.min_exponent == 0)
-
-    def constant_value(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError(f"{self} is not a constant")
-        return self.coeffs[0]
 
     # ring operations ----------------------------------------------------
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .matroids import SetSystem, exchange_axiom_witness
-from .polynomials import GroundSet, SubsetPoly, _popcount
+from .polynomials import GroundSet, SubsetPoly
 from .prng import SplitMix64
+from .words import bit_positions, popcount
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ def support(z: SubsetPoly) -> SupportProfile:
     if not words:
         raise ValueError("empty support")
     system = SetSystem(z.ground, tuple(words))
-    sizes = [_popcount(w) for w in system.members]
+    sizes = [popcount(w) for w in system.members]
     return SupportProfile(ground=z.ground, support=system, r=max(sizes), s=min(sizes))
 
 
@@ -53,7 +53,7 @@ def convexity_witness(system: SetSystem) -> tuple[int, int, int] | None:
     member_set = system.member_set()
     if len(member_set) == 1 << system.ground.m:
         return None
-    by_size = sorted(members, key=_popcount)
+    by_size = sorted(members, key=popcount)
     for i, small in enumerate(by_size):
         for big in by_size[i + 1 :]:
             if small & big != small or small == big:
@@ -215,7 +215,7 @@ def flatten(source: SubsetPoly | SetSystem) -> FlattenRecord:
         r, s = profile.r, profile.s
     else:
         system, ground = source, source.ground
-        sizes = [_popcount(w) for w in system.members]
+        sizes = [popcount(w) for w in system.members]
         r, s = max(sizes), min(sizes)
     ell = r - s
     if ground.m + ell > 30:
@@ -227,7 +227,7 @@ def flatten(source: SubsetPoly | SetSystem) -> FlattenRecord:
     flat_members: list[int] = []
     fresh_bits = [flat_ground.bit(lab) for lab in fresh]
     for w in system.members:
-        need = r - _popcount(w)
+        need = r - popcount(w)
         coeff = weights_in.coeff(w) if weights_in is not None else Fraction(1)
         for pick in _bit_combinations(fresh_bits, need):
             padded = w | pick
@@ -269,7 +269,7 @@ def size_window_sums(z: SubsetPoly) -> tuple[int, int, list[Fraction]]:
     sums = [Fraction(0)] * (profile.r - profile.s + 1)
     for w, c in z.terms.items():
         if c:
-            sums[_popcount(w) - profile.s] += c
+            sums[popcount(w) - profile.s] += c
     return profile.s, profile.r, sums
 
 
@@ -297,7 +297,7 @@ def layers(system: SetSystem) -> list[LayerVerdict]:
     """Members grouped by size; each layer gets a basis-exchange verdict."""
     by_size: dict[int, list[int]] = {}
     for w in system.members:
-        by_size.setdefault(_popcount(w), []).append(w)
+        by_size.setdefault(popcount(w), []).append(w)
     out = []
     for k in sorted(by_size):
         layer = SetSystem(system.ground, tuple(by_size[k]))
@@ -349,29 +349,29 @@ def exchange_props_check(system: SetSystem) -> ExchangeReport:
 
     augment = shrink = out_ok = in_ok = True
     for a in members:
-        ca = _popcount(a)
+        ca = popcount(a)
         for b in members:
-            cb = _popcount(b)
+            cb = popcount(b)
             if ca < cb:
                 # some element of B∖A extends A; some drops B back toward A
                 gain = b & ~a
-                if not any(a | (1 << i) in member_set for i in _bit_positions(gain)):
+                if not any(a | (1 << i) in member_set for i in bit_positions(gain)):
                     augment = False
                     witnesses.setdefault("augment_up", (a, b))
-                if not any(b ^ (1 << i) in member_set for i in _bit_positions(gain)):
+                if not any(b ^ (1 << i) in member_set for i in bit_positions(gain)):
                     shrink = False
                     witnesses.setdefault("shrink_down", (a, b))
             elif ca == cb:
-                for i in _bit_positions(a & ~b):
+                for i in bit_positions(a & ~b):
                     abit = 1 << i
                     swap_out = any(
-                        (a ^ abit) | (1 << j) in member_set for j in _bit_positions(b & ~a)
+                        (a ^ abit) | (1 << j) in member_set for j in bit_positions(b & ~a)
                     )
                     if not swap_out:
                         out_ok = False
                         witnesses.setdefault("exchange_from_equal", (a, b, abit))
                     swap_in = any(
-                        (b ^ (1 << j)) | abit in member_set for j in _bit_positions(b & ~a)
+                        (b ^ (1 << j)) | abit in member_set for j in bit_positions(b & ~a)
                     )
                     if not swap_in:
                         in_ok = False
@@ -379,8 +379,8 @@ def exchange_props_check(system: SetSystem) -> ExchangeReport:
 
     maximal = [w for w in members if not any(w != v and w & v == w for v in members)]
     minimal = [w for w in members if not any(w != v and w & v == v for v in members)]
-    max_eq = len({_popcount(w) for w in maximal}) == 1
-    min_eq = len({_popcount(w) for w in minimal}) == 1
+    max_eq = len({popcount(w) for w in maximal}) == 1
+    min_eq = len({popcount(w) for w in minimal}) == 1
     if not max_eq:
         witnesses["max_equicardinal"] = tuple(maximal)
     if not min_eq:
@@ -397,13 +397,6 @@ def exchange_props_check(system: SetSystem) -> ExchangeReport:
     )
 
 
-def _bit_positions(word: int):
-    while word:
-        low = word & -word
-        yield low.bit_length() - 1
-        word ^= low
-
-
 def disjoint_pair_exchange_witness(system: SetSystem) -> tuple | None:
     """Hunt for disjoint members A, B and {e,f} ⊆ B, g ∈ A such that no member
     contains e and g but not f, nor f and g but not e.  None if no such
@@ -412,10 +405,10 @@ def disjoint_pair_exchange_witness(system: SetSystem) -> tuple | None:
     members = system.members
     for a in members:
         for b in members:
-            if a & b or _popcount(b) < 2:
+            if a & b or popcount(b) < 2:
                 continue
-            b_positions = list(_bit_positions(b))
-            for gi in _bit_positions(a):
+            b_positions = list(bit_positions(b))
+            for gi in bit_positions(a):
                 gbit = 1 << gi
                 for x in range(len(b_positions)):
                     ebit = 1 << b_positions[x]
@@ -439,18 +432,3 @@ def full_support_check(z: SubsetPoly) -> bool | None:
     if 0 not in member_set or z.ground.full not in member_set:
         return None
     return len(member_set) == 1 << z.ground.m
-
-
-def completion_counts(system: SetSystem) -> dict[int, int]:
-    """Member count per size; the LYM-style profile sum(count_k / C(m,k))."""
-    counts: dict[int, int] = {}
-    for w in system.members:
-        counts[_popcount(w)] = counts.get(_popcount(w), 0) + 1
-    return counts
-
-
-def lym_sum(system: SetSystem) -> Fraction:
-    m = system.ground.m
-    return sum(
-        (Fraction(c, comb(m, k)) for k, c in completion_counts(system).items()), Fraction(0)
-    )

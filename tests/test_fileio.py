@@ -13,7 +13,6 @@ from rayleigh_forge.fileio import (
     parse_bases_file,
     parse_certificate_file,
     parse_graph_file,
-    parse_point,
     parse_weight_file,
     poly_payload,
 )
@@ -195,13 +194,3 @@ class TestPayloads:
         quad = rayleigh_diff(z, "a", "b")
         payload = poly_payload(quad)
         assert all(set(entry) == {"support", "squared", "coeff"} for entry in payload)
-
-
-class TestPoints:
-    def test_parse_point(self):
-        assert parse_point("a=1,b=3/2") == {"a": F(1), "b": F(3, 2)}
-
-    @pytest.mark.parametrize("bad", ["a", "a=1,a=2", "=1", "a=x"])
-    def test_rejects(self, bad):
-        with pytest.raises(InputFormatError):
-            parse_point(bad)

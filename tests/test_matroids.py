@@ -22,8 +22,9 @@ from rayleigh_forge.matroids import (
     uniform_matroid,
     weighted_laplacian_charpoly,
 )
-from rayleigh_forge.polynomials import GroundSet, _popcount
+from rayleigh_forge.polynomials import GroundSet
 from rayleigh_forge.prng import SplitMix64, sample_point
+from rayleigh_forge.words import popcount
 
 F = Fraction
 
@@ -55,7 +56,7 @@ class TestUniform:
     def test_rank_is_clamped_size(self):
         u = uniform_matroid(5, 3)
         for w in u.ground.subsets():
-            assert u.rank(w) == min(3, _popcount(w))
+            assert u.rank(w) == min(3, popcount(w))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -128,7 +129,7 @@ class TestMinorsAndDual:
         d = u.dual()
         assert d.r == 3
         for w in d.ground.subsets():
-            assert d.rank(w) == min(3, _popcount(w))
+            assert d.rank(w) == min(3, popcount(w))
 
     def test_dual_involution(self):
         m = graphic_matroid(cycle_graph(4))

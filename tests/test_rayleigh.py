@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rayleigh_forge import rayleigh
 from rayleigh_forge.corpus import k4_certificates
 from rayleigh_forge.matroids import complete_graph, graphic_matroid, uniform_matroid
 from rayleigh_forge.polynomials import (
@@ -13,11 +14,12 @@ from rayleigh_forge.polynomials import (
     rayleigh_diff,
     symseq_to_poly,
 )
-from rayleigh_forge.potts import Model, model_poly, potts_poly
-from rayleigh_forge.prng import DEFAULT_SEED, SplitMix64, log_uniform_fraction, sample_point
+from rayleigh_forge.potts import Model, model_poly, potts_poly, uniform_potts_symseq
+from rayleigh_forge.prng import DEFAULT_SEED, SplitMix64, derive, log_uniform_fraction, sample_point
 from rayleigh_forge.rayleigh import (
     CertificateStrategy,
     CoeffStrategy,
+    RayleighVerdict,
     SampleStrategy,
     SquareCertificate,
     check_all,
@@ -162,20 +164,13 @@ class TestCheckAll:
         assert sweep.worst().refuted
 
     def test_seed_split_is_schedule_free(self):
-        import os
-
-        z = model_poly(uniform_matroid(4, 2), Model("bases")).poly
-        seq = check_all(z, SampleStrategy(8, seed=77))
-        old = os.environ.get("RAYLEIGH_FORGE_THREADS")
-        os.environ["RAYLEIGH_FORGE_THREADS"] = "4"
-        try:
-            par = check_all(z, SampleStrategy(8, seed=77))
-        finally:
-            if old is None:
-                del os.environ["RAYLEIGH_FORGE_THREADS"]
-            else:
-                os.environ["RAYLEIGH_FORGE_THREADS"] = old
-        assert seq.verdicts == par.verdicts
+        # pair number idx samples from derive(seed, idx) alone, so each verdict
+        # is the one check_pair gives for that pair in isolation
+        z = rand_positive_poly(SplitMix64(4), 4)  # refuted and inconclusive pairs
+        sweep = check_all(z, SampleStrategy(8, seed=77))
+        for idx, ((e, f), verdict) in enumerate(sweep.verdicts.items()):
+            alone = check_pair(z, e, f, SampleStrategy(8, derive(77, idx).next_u64()))
+            assert verdict == alone
 
     def test_budget_overrides_samples(self):
         z = model_poly(uniform_matroid(3, 2), Model("bases")).poly
@@ -292,6 +287,22 @@ class TestEstimateQc:
         assert bracket.refuted is None
         assert [q for q, _ in bracket.tested] == [F(1, 4), F(1, 2), F(3, 4), F(1)]
         assert all(status == "verified" for _, status in bracket.tested)
+
+    @pytest.mark.parametrize("refuted_qs, passed", [((F(3, 4),), F(1)), ((F(3, 4), F(1)), F(1, 2))])
+    def test_uniform_path_follows_verdicts(self, monkeypatch, refuted_qs, passed):
+        real = rayleigh.exchangeable_check
+        refuted_seqs = [uniform_potts_symseq(4, 2, q) for q in refuted_qs]
+
+        def refute_at(seq, find_witness=True):
+            if seq in refuted_seqs:
+                return RayleighVerdict("refuted", index=1)
+            return real(seq, find_witness)
+
+        monkeypatch.setattr(rayleigh, "exchangeable_check", refute_at)
+        bracket = estimate_qc(uniform_matroid(4, 2))
+        assert [q for q, s in bracket.tested if s == "refuted"] == list(refuted_qs)
+        assert bracket.refuted == F(3, 4)
+        assert bracket.passed == passed
 
     def test_bisection_path(self):
         bracket = estimate_qc(graphic_matroid(complete_graph(4)), resolution=4, budget=32, seed=DEFAULT_SEED)

@@ -11,7 +11,6 @@ from rayleigh_forge.matroids import (
 )
 from rayleigh_forge.polynomials import GroundSet, SubsetPoly
 from rayleigh_forge.supports import (
-    completion_counts,
     convexity_witness,
     disjoint_pair_exchange_witness,
     exchange_props_check,
@@ -23,7 +22,6 @@ from rayleigh_forge.supports import (
     layers,
     log_submodular_check,
     log_submodular_witness,
-    lym_sum,
     sea_check,
     size_window_sums,
     support,
@@ -230,18 +228,3 @@ class TestFullSupport:
         g = GroundSet(("a", "b"))
         z = SubsetPoly(g, {0: F(1), 1: F(1), 3: F(1)})
         assert full_support_check(z) is False
-
-
-class TestCounting:
-    def test_completion_counts(self):
-        s = enumerate_family(uniform_matroid(4, 2), "independent")
-        assert completion_counts(s) == {0: 1, 1: 4, 2: 6}
-
-    def test_lym_sum(self):
-        s = enumerate_family(uniform_matroid(4, 2), "independent")
-        assert lym_sum(s) == F(1) + F(4, 4) + F(6, 6)
-
-    def test_antichain_bound(self):
-        # a single layer keeps the sum at most 1
-        s = enumerate_family(uniform_matroid(5, 3), "bases")
-        assert lym_sum(s) == 1
