@@ -5,7 +5,15 @@ are machine words with bit i standing for the i-th label.  `SubsetPoly` is a
 sparse multiaffine polynomial (one term per subset); `QuadPoly` allows each
 variable to reach degree two and keys its terms by the pair
 (support word, squared word) with squared <= support bitwise.  Coefficients
-are exact: `Fraction`, or `LaurentQ` for symbolic-q work.
+are exact `Fraction`s; `LaurentQ` coefficients (symbolic q) are for slices
+and two-sums only.
+
+Pair products (`multiply`, `rayleigh_diff`, `theta`) run on Python ints
+and need rational coefficients: each factor is scaled by the lcm L of its
+denominators, and each summed coefficient is divided back once at the end.
+Scaling Z by L scales every pair difference by L^2, so the integer sums
+already carry the signs that the sign queries read, and the divided result
+is the exact rational difference.
 
 The central construction is the Rayleigh difference
 
@@ -20,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Mapping
 
 from .scalars import format_rat
@@ -159,10 +167,8 @@ class SubsetPoly:
         return self._slice_out(label, keep=self.ground.bit(label), zero=0)
 
     def _slice_out(self, label: str, keep: int, zero: int) -> "SubsetPoly":
-        sub = self.ground.without(label)
-        pos = tuple(map(self.ground.index, sub.labels))
-        sliced = _slice_bits(self.terms, keep, zero)
-        return SubsetPoly(sub, {compress(w, pos): c for w, c in sliced.items()})
+        sub, s = _slicer(self.terms, self.ground, label)
+        return SubsetPoly(sub, s(keep, zero))
 
     # evaluation and transforms ----------------------------------------------
 
@@ -276,17 +282,6 @@ class QuadPoly:
         vals = [point[lab] for lab in self.ground.labels]
         return sum((term_value(c, vals, sup, sq) for (sup, sq), c in self.terms.items()), Fraction(0))
 
-    def restricted(self, sub: GroundSet) -> "QuadPoly":
-        """Move to a smaller ground set; the dropped variables must be absent."""
-        keep = tuple(map(self.ground.index, sub.labels))
-        keep_mask = expand(sub.full, keep)
-        out = {}
-        for (sup, sq), c in self.terms.items():
-            if sup & ~keep_mask:
-                raise ValueError("restriction drops a variable still in use")
-            out[(compress(sup, keep), compress(sq, keep))] = c
-        return QuadPoly(sub, out)
-
     def embedded(self, ground: GroundSet) -> "QuadPoly":
         """Re-key onto a larger (or reordered) ground set containing our labels."""
         pos = tuple(map(ground.index, self.ground.labels))
@@ -362,19 +357,38 @@ class QuadPoly:
 
 
 def multiply(p: SubsetPoly, q: SubsetPoly) -> QuadPoly:
-    """Product of two multiaffine polynomials on one ground set."""
+    """Product of two multiaffine polynomials on one ground set; rational only."""
     if p.ground != q.ground:
         raise ValueError("ground sets differ")
-    out: dict[tuple[int, int], object] = {}
-    for w1, c1 in p.terms.items():
-        for w2, c2 in q.terms.items():
-            key = (w1 | w2, w1 & w2)
-            c = c1 * c2
-            if key in out:
-                out[key] = out[key] + c
-            else:
-                out[key] = c
-    return QuadPoly(p.ground, out)
+    a, da = _scaled(p.terms)
+    b, db = _scaled(q.terms)
+    return _pair_products(p.ground, da * db, (1, a, b))
+
+
+def _scaled(terms: Mapping[int, object]) -> tuple[dict[int, int], int]:
+    """Integer numerators c * L of rational terms, with L the lcm of their denominators."""
+    if not all(isinstance(c, Fraction) for c in terms.values()):
+        raise TypeError("pair products need rational coefficients")
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {w: c.numerator * (den // c.denominator) for w, c in terms.items()}, den
+
+
+def _pair_products(ground: GroundSet, den: int, *pairs: tuple[int, dict, dict]) -> QuadPoly:
+    """sum(sign * A * B) / den over signed pairs of integer word-keyed slices.
+
+    The one pair-product kernel: Python ints accumulate under the keys
+    (w1 | w2, w1 & w2), and only the surviving sums become Fractions.
+    """
+    acc: dict[tuple[int, int], int] = {}
+    get = acc.get
+    for sign, a, b in pairs:
+        b_items = tuple(b.items())
+        for w1, c1 in a.items():
+            c1 *= sign
+            for w2, c2 in b_items:
+                key = (w1 | w2, w1 & w2)
+                acc[key] = get(key, 0) + c1 * c2
+    return QuadPoly(ground, {k: Fraction(n, den) for k, n in acc.items() if n})
 
 
 def multiply_disjoint(p: SubsetPoly, q: SubsetPoly) -> SubsetPoly:
@@ -417,18 +431,14 @@ def rayleigh_diff(z: SubsetPoly, e: str, f: str) -> QuadPoly:
     """The pair difference Z_e^f Z_f^e - Z_ef Z^ef on the ground set minus {e, f}.
 
     Nonnegative on the positive orthant iff the pair {e, f} is negatively
-    correlated for every positive external field.
+    correlated for every positive external field.  Rational coefficients only.
     """
     if e == f:
         raise ValueError("the two elements must be distinct")
     be, bf = z.ground.bit(e), z.ground.bit(f)
-    g = z.ground
-    ze_f = SubsetPoly(g, _slice_bits(z.terms, keep=be, zero=bf))
-    zf_e = SubsetPoly(g, _slice_bits(z.terms, keep=bf, zero=be))
-    zef = SubsetPoly(g, _slice_bits(z.terms, keep=be | bf, zero=0))
-    z_no = SubsetPoly(g, _slice_bits(z.terms, keep=0, zero=be | bf))
-    diff = multiply(ze_f, zf_e) - multiply(zef, z_no)
-    return diff.restricted(g.without(e, f))
+    n, den = _scaled(z.terms)
+    sub, s = _slicer(n, z.ground, e, f)
+    return _pair_products(sub, den * den, (1, s(be, bf), s(bf, be)), (-1, s(be | bf, 0), s(0, be | bf)))
 
 
 def _slice_bits(terms: Mapping[int, object], keep: int, zero: int) -> dict[int, object]:
@@ -437,29 +447,39 @@ def _slice_bits(terms: Mapping[int, object], keep: int, zero: int) -> dict[int, 
     return {w ^ keep: c for w, c in terms.items() if w & mask == keep}
 
 
+def _slicer(terms: Mapping[int, object], ground: GroundSet, *labels: str):
+    """The ground set without `labels`, and s(keep, zero): _slice_bits re-keyed onto it."""
+    sub = ground.without(*labels)
+    pos = tuple(map(ground.index, sub.labels))
+
+    def s(keep: int, zero: int) -> dict:
+        return {compress(w, pos): c for w, c in _slice_bits(terms, keep, zero).items()}
+
+    return sub, s
+
+
 def theta(z: SubsetPoly, e: str, f: str, g: str) -> QuadPoly:
     """Linear-in-y_g part of rayleigh_diff(z, e, f):
 
         Z_e^{fg} Z_{fg}^e + Z_f^{eg} Z_{eg}^f - Z_g^{ef} Z_{ef}^g - Z_{efg} Z^{efg}
 
     so that  diff = diff^g + y_g * theta + y_g^2 * diff_g  holds exactly.
+    Rational coefficients only.
     """
     if len({e, f, g}) != 3:
         raise ValueError("need three distinct elements")
     gr = z.ground
     be, bf, bg = gr.bit(e), gr.bit(f), gr.bit(g)
-    T = z.terms
-
-    def s(keep: int, zero: int) -> SubsetPoly:
-        return SubsetPoly(gr, _slice_bits(T, keep, zero))
-
-    part = (
-        multiply(s(be, bf | bg), s(bf | bg, be))
-        + multiply(s(bf, be | bg), s(be | bg, bf))
-        - multiply(s(bg, be | bf), s(be | bf, bg))
-        - multiply(s(be | bf | bg, 0), s(0, be | bf | bg))
+    n, den = _scaled(z.terms)
+    sub, s = _slicer(n, gr, e, f, g)
+    return _pair_products(
+        sub,
+        den * den,
+        (1, s(be, bf | bg), s(bf | bg, be)),
+        (1, s(bf, be | bg), s(be | bg, bf)),
+        (-1, s(bg, be | bf), s(be | bf, bg)),
+        (-1, s(be | bf | bg, 0), s(0, be | bf | bg)),
     )
-    return part.restricted(gr.without(e, f, g))
 
 
 # --- exchangeable machinery --------------------------------------------------

@@ -9,7 +9,8 @@ routes to Verified:
     sum(lambda_i (y^Ai - y^Bi)^2) coefficientwise.
 
 Refutation is a concrete positive rational point where the difference is
-negative; the stored witness value always re-evaluates exactly.  Sampling
+negative; `check_pair` re-evaluates the witness through scalar slices
+before it returns the verdict, and the values must agree exactly.  Sampling
 that finds no negative point is only ever Inconclusive.
 """
 
@@ -173,11 +174,23 @@ def scalar_pair_diff(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction
 
 
 def check_pair(z: SubsetPoly, e: str, f: str, strategy: Strategy) -> RayleighVerdict:
-    """One pair, one strategy.  Sign decisions need rational coefficients."""
+    """One pair, one strategy.  Sign decisions need rational coefficients.
+
+    A Refuted verdict's witness is re-evaluated through `scalar_pair_diff`,
+    which does not use the pair product; any disagreement raises
+    ArithmeticError instead of returning the verdict.
+    """
     if not z.is_rational():
         raise TypeError("pair checks need rational coefficients; evaluate q first")
-    diff = rayleigh_diff(z, e, f)
-    return _judge(diff, (e, f), strategy)
+    verdict = _judge(rayleigh_diff(z, e, f), (e, f), strategy)
+    if verdict.refuted:
+        again = scalar_pair_diff(z, e, f, verdict.witness)
+        if again != verdict.value or again >= 0:
+            raise ArithmeticError(
+                f"witness for pair ({e},{f}) re-evaluates to {format_rat(again)}, "
+                f"not to the sampled {format_rat(verdict.value)}"
+            )
+    return verdict
 
 
 def _judge(diff: QuadPoly, pair: tuple[str, str], strategy: Strategy) -> RayleighVerdict:
@@ -581,9 +594,11 @@ def triple_condition_check(
 class QcBracket:
     """Empirical bracket for the largest q in (0, 1) that stays Rayleigh.
 
-    `passed` is the largest tested q with no refutation, `refuted` the
-    smallest refuted q (None if none found).  Heuristic unless `exact`:
-    sampling cannot verify, only fail to refute.
+    `refuted` is the smallest refuted q (None if none found) and `passed`
+    the largest tested q below it with no refutation, so passed < refuted.
+    Heuristic unless `exact`: sampling cannot verify, only fail to refute.
+    The uniform path is exact only when no Verified q lies above `refuted`,
+    that is, when its verdicts are monotone in q.
     """
 
     passed: Fraction
@@ -607,10 +622,13 @@ def estimate_qc(
             q0 = Fraction(num, 4)
             verdict = exchangeable_check(uniform_potts_symseq(m, r, q0), find_witness=False)
             tested.append((q0, verdict.status))
+        refuted = min((q for q, s in tested if s == "refuted"), default=None)
+        verified = [q for q, s in tested if s == "verified"]
+        below = [q for q in verified if refuted is None or q < refuted]
         return QcBracket(
-            passed=max((q for q, s in tested if s == "verified"), default=Fraction(0)),
-            refuted=min((q for q, s in tested if s == "refuted"), default=None),
-            exact=True,
+            passed=max(below, default=Fraction(0)),
+            refuted=refuted,
+            exact=len(below) == len(verified),
             tested=tuple(tested),
         )
 

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from rayleigh_forge import rayleigh
 from rayleigh_forge.cli import main
+from rayleigh_forge.polynomials import QuadPoly
 
 F = Fraction
 
@@ -132,6 +134,19 @@ class TestRayleighCheck:
     def test_inconclusive_exit(self, files):
         code = run(["rayleigh", "check", files["corr"], "--strategy", "coeff"])
         assert code == 2
+
+    def test_witness_mismatch_exits_3(self, files, monkeypatch, capsys):
+        # a pair difference off by one: the sampled witness no longer
+        # re-evaluates to its value through the scalar slice route
+        real = rayleigh.rayleigh_diff
+
+        def perturbed(z, e, f):
+            diff = real(z, e, f)
+            return diff - QuadPoly(diff.ground, {(0, 0): F(1)})
+
+        monkeypatch.setattr(rayleigh, "rayleigh_diff", perturbed)
+        assert run(["rayleigh", "check", files["corr"], "--strategy", "sample"]) == 3
+        assert "re-evaluates" in capsys.readouterr().err
 
     def test_certificate_route(self, files):
         code = run(

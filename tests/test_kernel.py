@@ -1,0 +1,194 @@
+"""The integer pair-product kernel against a Fraction reference.
+
+`multiply`, `rayleigh_diff` and `theta` share one integer kernel.  The
+reference here slices through label sets and multiplies `Fraction`
+coefficients term by term, so it shares neither the kernel, the scaling
+nor the word re-indexing with the code under test.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rayleigh_forge.corpus import k4_certificates
+from rayleigh_forge.matroids import complete_graph, cycle_graph, graphic_matroid, uniform_matroid
+from rayleigh_forge.polynomials import GroundSet, QuadPoly, SubsetPoly, canonical_ground, multiply, rayleigh_diff, theta
+from rayleigh_forge.potts import Model, model_poly, potts_poly
+from rayleigh_forge.rayleigh import SquareCertificate
+from rayleigh_forge.scalars import LaurentQ
+
+F = Fraction
+
+# signed, with coprime non-dyadic denominators such as 1/3, 5/7 and 11/9
+COEFFS = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 3, 7, 9, 11, 13)))
+NONZERO = COEFFS.filter(bool)
+
+
+def ref_product(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            key = (w1 | w2, w1 & w2)
+            out[key] = out.get(key, F(0)) + c1 * c2
+    return out
+
+
+def ref_slice(z: SubsetPoly, sub: GroundSet, keep: set, zero: set) -> dict:
+    """Terms of y^S with keep <= S and S disjoint from zero, re-keyed by S - keep on sub."""
+    out = {}
+    for w, c in z.terms.items():
+        labels = set(z.ground.labels_of(w))
+        if keep <= labels and not labels & zero:
+            out[sub.word(labels - keep)] = c
+    return out
+
+
+def ref_signed_sum(z: SubsetPoly, drop: tuple, pairs) -> tuple[GroundSet, dict]:
+    sub = GroundSet(lab for lab in z.ground.labels if lab not in drop)
+    total: dict = {}
+    for sign, (k1, z1), (k2, z2) in pairs:
+        a = ref_slice(z, sub, set(k1), set(z1))
+        b = ref_slice(z, sub, set(k2), set(z2))
+        for key, c in ref_product(a, b).items():
+            total[key] = total.get(key, F(0)) + sign * c
+    return sub, {k: c for k, c in total.items() if c}
+
+
+def ref_diff(z: SubsetPoly, e: str, f: str):
+    return ref_signed_sum(z, (e, f), [(1, (e, f), (f, e)), (-1, (e + f, ""), ("", e + f))])
+
+
+def ref_theta(z: SubsetPoly, e: str, f: str, g: str):
+    return ref_signed_sum(
+        z,
+        (e, f, g),
+        [
+            (1, (e, f + g), (f + g, e)),
+            (1, (f, e + g), (e + g, f)),
+            (-1, (g, e + f), (e + f, g)),
+            (-1, (e + f + g, ""), ("", e + f + g)),
+        ],
+    )
+
+
+def assert_matches(got, ref) -> None:
+    sub, terms = ref
+    assert got.ground == sub
+    assert got.terms == terms
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@st.composite
+def weight_polys(draw, min_m: int = 2):
+    """Single-letter labels, so the reference can spell slices as strings."""
+    g = GroundSet("abcdef"[: draw(st.integers(min_m, 6))])
+    terms = draw(st.dictionaries(st.integers(0, g.full), COEFFS, max_size=40))
+    return SubsetPoly(g, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_multiply_matches_fraction_reference(data):
+    p = data.draw(weight_polys(1))
+    q = SubsetPoly(p.ground, data.draw(st.dictionaries(st.integers(0, p.ground.full), COEFFS, max_size=40)))
+    got = multiply(p, q)
+    assert got.ground == p.ground
+    assert got.terms == {k: c for k, c in ref_product(p.terms, q.terms).items() if c}
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_polys(), st.data())
+def test_rayleigh_diff_matches_fraction_reference(z, data):
+    e, f = data.draw(st.permutations(z.ground.labels))[:2]
+    assert_matches(rayleigh_diff(z, e, f), ref_diff(z, e, f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_polys(3), st.data())
+def test_theta_matches_fraction_reference(z, data):
+    e, f, g = data.draw(st.permutations(z.ground.labels))[:3]
+    assert_matches(theta(z, e, f, g), ref_theta(z, e, f, g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.lists(st.tuples(NONZERO, NONZERO), min_size=6, max_size=6), st.data())
+def test_product_weights_cancel_to_zero(m, factors, data):
+    # Z = prod(a_i + b_i y_i): every pair is independent, so every D and theta vanish
+    g = canonical_ground(m)
+    terms = {}
+    for w in g.subsets():
+        c = F(1)
+        for i, (a, b) in enumerate(factors[:m]):
+            c *= b if w >> i & 1 else a
+        terms[w] = c
+    z = SubsetPoly(g, terms)
+    labels = data.draw(st.permutations(g.labels))
+    assert rayleigh_diff(z, labels[0], labels[1]).is_zero()
+    if m >= 3:
+        assert theta(z, labels[0], labels[1], labels[2]).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(weight_polys(1), NONZERO, NONZERO, st.integers(1, 63))
+def test_cross_terms_cancel_in_one_product(p, c, d, word):
+    # (c + d y^S)(c - d y^S) = c^2 - d^2 y^2S: the (S, 0) cross terms cancel
+    word &= p.ground.full
+    if not word:
+        word = 1
+    plus = SubsetPoly(p.ground, {0: c, word: d})
+    minus = SubsetPoly(p.ground, {0: c, word: -d})
+    assert multiply(plus, minus).terms == {(0, 0): c * c, (word, word): -d * d}
+
+
+POTTS_MATROIDS = (
+    graphic_matroid(complete_graph(4)),
+    graphic_matroid(cycle_graph(5)),
+    uniform_matroid(5, 2),
+    uniform_matroid(6, 3),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(POTTS_MATROIDS),
+    st.sampled_from((F(1, 2), F(2), F(3, 2), F(2, 3))),
+    st.data(),
+)
+def test_potts_at_fixed_q_matches_reference(matroid, q0, data):
+    z = potts_poly(matroid, q0).poly
+    # the reference spells slices as strings of one-character labels
+    assert all(len(lab) == 1 for lab in z.ground.labels)
+    e, f, g = data.draw(st.permutations(z.ground.labels))[:3]
+    assert_matches(rayleigh_diff(z, e, f), ref_diff(z, e, f))
+    assert_matches(theta(z, e, f, g), ref_theta(z, e, f, g))
+
+
+@pytest.mark.parametrize("scale", [F(1), F(5, 7), F(11, 9)])
+def test_certificate_residue_matches_reference(scale):
+    # K4 independent sets, opposite pair: not coefficientwise, but the square
+    # certificate leaves a nonnegative residue; scaling Z by s scales D by s^2
+    z = model_poly(graphic_matroid(complete_graph(4)), Model("independent")).poly.scale(scale)
+    [(lam, a, b)] = k4_certificates()[("1", "6")].terms
+    cert = SquareCertificate(((lam * scale * scale, a, b),))
+    diff = rayleigh_diff(z, "1", "6")
+    sub, terms = ref_diff(z, "1", "6")
+    expanded = cert.expand(sub)
+    residue = diff - expanded
+    assert residue == QuadPoly(sub, terms) - expanded
+    assert not diff.is_coefficientwise_nonnegative()
+    assert residue.is_coefficientwise_nonnegative()
+
+
+def test_laurent_coefficients_are_refused():
+    symbolic = potts_poly(uniform_matroid(3, 2)).poly
+    assert any(isinstance(c, LaurentQ) for c in symbolic.terms.values())
+    one_symbolic = SubsetPoly(canonical_ground(3), {0: F(1), 7: LaurentQ.q_power(1)})
+    for z in (symbolic, one_symbolic):
+        with pytest.raises(TypeError):
+            multiply(z, z)
+        with pytest.raises(TypeError):
+            rayleigh_diff(z, "1", "2")
+        with pytest.raises(TypeError):
+            theta(z, "1", "2", "3")

@@ -181,21 +181,25 @@ class TestQuadPoly:
 
 class TestRayleighDiff:
     def bruteforce_diff(self, z: SubsetPoly, e: str, f: str) -> QuadPoly:
-        # independent route: four slices by dict comprehension, then multiply
+        # route: four slices through label sets, re-keyed onto the ground set
+        # without e and f, then multiply and the Fraction subtraction.  It
+        # checks the slicing and re-keying of rayleigh_diff but shares its
+        # integer kernel through multiply; tests/test_kernel.py checks that
+        # kernel against a Fraction reference.
         g = z.ground
-        be, bf = g.bit(e), g.bit(f)
+        sub = g.without(e, f)
 
-        def part(keep: int, zero: int) -> SubsetPoly:
-            terms = {
-                w ^ keep: c
-                for w, c in z.terms.items()
-                if not w & zero and (w & keep) == keep
-            }
-            return SubsetPoly(g, terms)
+        def part(keep: set, zero: set) -> SubsetPoly:
+            terms = {}
+            for w, c in z.terms.items():
+                labels = set(g.labels_of(w))
+                if keep <= labels and not labels & zero:
+                    terms[sub.word(labels - keep)] = c
+            return SubsetPoly(sub, terms)
 
-        lhs = multiply(part(be, bf), part(bf, be))
-        rhs = multiply(part(be | bf, 0), part(0, be | bf))
-        return (lhs - rhs).restricted(g.without(e, f))
+        lhs = multiply(part({e}, {f}), part({f}, {e}))
+        rhs = multiply(part({e, f}, set()), part(set(), {e, f}))
+        return lhs - rhs
 
     def test_matches_bruteforce(self):
         rng = SplitMix64(31)

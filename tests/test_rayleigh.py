@@ -288,7 +288,9 @@ class TestEstimateQc:
         assert [q for q, _ in bracket.tested] == [F(1, 4), F(1, 2), F(3, 4), F(1)]
         assert all(status == "verified" for _, status in bracket.tested)
 
-    @pytest.mark.parametrize("refuted_qs, passed", [((F(3, 4),), F(1)), ((F(3, 4), F(1)), F(1, 2))])
+    # Refuting 3/4 alone leaves a Verified q above the smallest refuted one:
+    # the bracket stays below 3/4 and is no longer exact.
+    @pytest.mark.parametrize("refuted_qs, passed", [((F(3, 4),), F(1, 2)), ((F(3, 4), F(1)), F(1, 2))])
     def test_uniform_path_follows_verdicts(self, monkeypatch, refuted_qs, passed):
         real = rayleigh.exchangeable_check
         refuted_seqs = [uniform_potts_symseq(4, 2, q) for q in refuted_qs]
@@ -303,6 +305,8 @@ class TestEstimateQc:
         assert [q for q, s in bracket.tested if s == "refuted"] == list(refuted_qs)
         assert bracket.refuted == F(3, 4)
         assert bracket.passed == passed
+        assert bracket.passed < bracket.refuted
+        assert bracket.exact == (F(1) in refuted_qs)
 
     def test_bisection_path(self):
         bracket = estimate_qc(graphic_matroid(complete_graph(4)), resolution=4, budget=32, seed=DEFAULT_SEED)

@@ -12,7 +12,6 @@ from rayleigh_forge.matroids import (
 )
 from rayleigh_forge.sequences import (
     CONDITIONS,
-    Seq,
     UniPoly,
     check_condition,
     check_many,
