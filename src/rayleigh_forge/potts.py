@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .matroids import Matroid, enumerate_family
@@ -308,7 +309,13 @@ def slice_inequality_scan(
     """The sampled slice inequalities for every non-loop element at once.
 
     Monomial values and q-powers are shared across elements per point, so the
-    cost is samples * 2^m * m rather than per-element re-evaluation.
+    cost is samples * 2^m * m rather than per-element re-evaluation.  All
+    sums are Python ints: with y_i = n_i / D over the lcm D of the point's
+    denominators and q0 = a / b, the monomial y^w * D^m is the int
+    prod(n_i) * D^(m - |w|) and q0^-k * a^r is the int b^k * a^(r - k).  So
+    every deletion and contraction sum is an int over the one positive
+    denominator a^r * D^m, and q0 * del < con, con <= del and con == del
+    are decided as a * del < b * con, con <= del and con == del.
     """
     ground = matroid.ground
     m = ground.m
@@ -316,6 +323,7 @@ def slice_inequality_scan(
         raise ValueError("scan enumerates 2^m terms; m capped at 20")
     labels = ground.labels
     full = ground.full
+    r = matroid.r
     loop = [matroid.is_loop(lab) for lab in labels]
     coloop = [matroid.is_coloop(lab) for lab in labels]
     rank = [matroid.rank(w) for w in range(full + 1)]
@@ -328,15 +336,20 @@ def slice_inequality_scan(
         q0 = unit_fraction(rng)
         point = sample_point(rng, labels)
         yval = [point[lab] for lab in labels]
-        mono = [Fraction(1)] * (full + 1)
+        den = lcm(*(y.denominator for y in yval))
+        num = [y.numerator * (den // y.denominator) for y in yval]
+        dpow = [den**k for k in range(m + 1)]
+        mono = [1] * (full + 1)
         for w in range(1, full + 1):
             low = w & -w
-            mono[w] = mono[w ^ low] * yval[low.bit_length() - 1]
-        qpow = [q0**-k for k in range(matroid.r + 1)]
-        del_sum = [Fraction(0)] * m
-        con_sum = [Fraction(0)] * m
+            mono[w] = mono[w ^ low] * num[low.bit_length() - 1]
+        a, b = q0.numerator, q0.denominator
+        qpow = [b**k * a ** (r - k) for k in range(r + 1)]
+        del_sum = [0] * m
+        con_sum = [0] * m
         for w in range(full + 1):
-            base = qpow[rank[w]] * mono[w]
+            yw = mono[w] * dpow[m - popcount(w)]
+            base = qpow[rank[w]] * yw
             rest = full & ~w
             while rest:
                 low = rest & -rest
@@ -345,11 +358,11 @@ def slice_inequality_scan(
                 if loop[i]:
                     continue
                 del_sum[i] += base
-                con_sum[i] += qpow[rank[w | low] - 1] * mono[w]
+                con_sum[i] += qpow[rank[w | low] - 1] * yw
         for i in range(m):
             if loop[i]:
                 continue
-            if not q0 * del_sum[i] < con_sum[i]:
+            if not a * del_sum[i] < b * con_sum[i]:
                 strict_ok[i] = False
             if not con_sum[i] <= del_sum[i]:
                 weak_ok[i] = False

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from math import lcm
 from typing import Iterable, Mapping
 
 from .matroids import Matroid
@@ -85,6 +87,10 @@ class SampleStrategy:
     samples: int = 1000
     seed: int = DEFAULT_SEED
 
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, not {self.samples}")
+
 
 Strategy = CoeffStrategy | CertificateStrategy | SampleStrategy
 
@@ -130,6 +136,17 @@ def _point_text(point: Mapping[str, Fraction]) -> str:
     return "{" + inner + "}"
 
 
+def _coordinates(z: SubsetPoly, point: Mapping[str, Fraction]) -> list[Fraction]:
+    """The point's value for each ground label, in ground order; all positive."""
+    for lab, v in point.items():
+        if v <= 0:
+            raise ValueError(f"coordinate {lab!r} must be positive")
+    for lab in z.ground.labels:
+        if lab not in point:
+            raise ValueError(f"point has no coordinate for {lab!r}")
+    return [point[lab] for lab in z.ground.labels]
+
+
 def covariance(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction]) -> Fraction:
     """Cov(X_e, X_f) under the external-field measure at a positive point.
 
@@ -138,11 +155,8 @@ def covariance(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction]) -> 
     """
     if not z.is_rational():
         raise TypeError("covariance needs rational coefficients")
-    for lab, v in point.items():
-        if v <= 0:
-            raise ValueError(f"coordinate {lab!r} must be positive")
+    vals = _coordinates(z, point)
     be, bf = z.ground.bit(e), z.ground.bit(f)
-    vals = [point[lab] for lab in z.ground.labels]
     total = Fraction(0)
     p_e = Fraction(0)
     p_f = Fraction(0)
@@ -395,6 +409,8 @@ def conjecture_probe(
         raise ValueError("probe needs at least three elements")
     if e == f:
         raise ValueError("need two distinct elements")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, not {samples}")
 
     def truncated(entries: Iterable[Fraction]) -> tuple[Fraction, ...]:
         entries = tuple(entries)
@@ -434,7 +450,8 @@ def conjecture_probe(
 # --- negative association over a two-block split ---------------------------------
 
 
-def _upward_closed_families(universe_size: int) -> list[frozenset[int]]:
+@cache
+def _upward_closed_families(universe_size: int) -> tuple[frozenset[int], ...]:
     words = list(range(1 << universe_size))
     families = []
     for pick in range(1 << len(words)):
@@ -449,7 +466,7 @@ def _upward_closed_families(universe_size: int) -> list[frozenset[int]]:
                 break
         if ok:
             families.append(fam)
-    return families
+    return tuple(families)
 
 
 @dataclass(frozen=True)
@@ -471,7 +488,12 @@ def negative_association_check(
     """P(A and B) <= P(A) P(B) for all upward-closed events on disjoint blocks.
 
     Exhaustive over every pair of upward-closed families on the two blocks
-    (block sizes capped at 3: 20 families each).
+    (block sizes capped at 3: 20 families each).  Each term's mass lands in
+    the cell (trace on block 1, trace on block 2) of a table with at most
+    8 x 8 cells; the cells are scaled by the lcm L of their denominators to
+    Python ints, and P(A), P(B), P(A and B) and the total are integer sums
+    of cells.  The test p12 * total > p1 * p2 has degree two on both sides,
+    so the common factor L^2 > 0 cannot flip it.
     """
     if not z.is_rational():
         raise TypeError("association check needs rational coefficients")
@@ -483,35 +505,29 @@ def negative_association_check(
         raise ValueError("blocks must partition the ground set")
     if len(b1) > 3 or len(b2) > 3:
         raise ValueError("block size capped at 3")
-    for lab, v in point.items():
-        if v <= 0:
-            raise ValueError(f"coordinate {lab!r} must be positive")
+    vals = _coordinates(z, point)
 
     pos1 = tuple(map(z.ground.index, b1))
     pos2 = tuple(map(z.ground.index, b2))
-    vals = [point[lab] for lab in z.ground.labels]
-    masses: list[tuple[int, int, Fraction]] = []
-    total = Fraction(0)
+    n1, n2 = 1 << len(b1), 1 << len(b2)
+    cells = [[Fraction(0)] * n2 for _ in range(n1)]
     for w, c in z.terms.items():
-        mass = term_value(c, vals, w)
-        masses.append((compress(w, pos1), compress(w, pos2), mass))
-        total += mass
+        cells[compress(w, pos1)][compress(w, pos2)] += term_value(c, vals, w)
+    scale = lcm(*(cell.denominator for row in cells for cell in row))
+    cells = [[cell.numerator * (scale // cell.denominator) for cell in row] for row in cells]
+    row_sum = [sum(row) for row in cells]
+    col_sum = [sum(col) for col in zip(*cells)]
+    total = sum(row_sum)
 
     fams1 = _upward_closed_families(len(b1))
     fams2 = _upward_closed_families(len(b2))
+    p2s = [sum(col_sum[t2] for t2 in fam2) for fam2 in fams2]
     violations = []
     for fam1 in fams1:
-        for fam2 in fams2:
-            p1 = p2 = p12 = Fraction(0)
-            for t1, t2, mass in masses:
-                in1 = t1 in fam1
-                in2 = t2 in fam2
-                if in1:
-                    p1 += mass
-                if in2:
-                    p2 += mass
-                if in1 and in2:
-                    p12 += mass
+        p1 = sum(row_sum[t1] for t1 in fam1)
+        in_fam1 = [sum(cells[t1][t2] for t1 in fam1) for t2 in range(n2)]
+        for fam2, p2 in zip(fams2, p2s):
+            p12 = sum([in_fam1[t2] for t2 in fam2])
             if p12 * total > p1 * p2:
                 violations.append((fam1, fam2))
     return AssociationReport(pairs_checked=len(fams1) * len(fams2), violations=tuple(violations))
@@ -615,6 +631,10 @@ def estimate_qc(
 ) -> QcBracket:
     from .potts import potts_poly, uniform_potts_symseq
 
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, not {resolution}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, not {budget}")
     if matroid.provenance and matroid.provenance[0] == "uniform":
         _, m, r = matroid.provenance
         tested = []

@@ -322,6 +322,21 @@ class TestUsageErrors:
         bad.write_text("elements: a\na : 1.5\n")
         assert run(["rayleigh", "check", str(bad)]) == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rayleigh", "check", "corr", "--strategy", "sample", "--samples", "-5"],
+            ["probe", "margin", "u32", "--pair", "1,2", "--samples", "-3"],
+            ["probe", "qc", "u32", "--resolution", "0"],
+            ["probe", "qc", "tri", "--budget", "0"],
+        ],
+        ids=["check-samples", "margin-samples", "qc-resolution", "qc-budget"],
+    )
+    def test_nonpositive_count_refused(self, files, capsys, argv):
+        argv = [files.get(a, a) for a in argv]
+        assert run(argv) == 3
+        assert "must be at least 1" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_same_invocation_same_report(self, files, capsys):

@@ -80,6 +80,11 @@ class TestCovariance:
         with pytest.raises(TypeError):
             covariance(symbolic, "1", "2", {"1": F(1), "2": F(1)})
 
+    def test_missing_coordinate_named(self):
+        z = model_poly(uniform_matroid(3, 1), Model("bases")).poly
+        with pytest.raises(ValueError, match="'3'"):
+            covariance(z, "1", "2", {"1": F(1), "2": F(1)})
+
 
 class TestScalarPairDiff:
     def test_matches_quadpoly_evaluation(self):
@@ -245,6 +250,12 @@ class TestAssociation:
             negative_association_check(z, ("1", "2"), ("2", "3", "4"), pt)
         with pytest.raises(ValueError):
             negative_association_check(z, ("1",), ("2", "3"), pt)  # not a partition
+
+    def test_missing_coordinate_named(self):
+        z = model_poly(uniform_matroid(4, 2), Model("bases")).poly
+        pt = {lab: F(1) for lab in ("1", "2", "4")}
+        with pytest.raises(ValueError, match="'3'"):
+            negative_association_check(z, ("1", "2"), ("3", "4"), pt)
 
 
 class TestTriple:
