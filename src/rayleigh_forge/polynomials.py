@@ -13,7 +13,9 @@ and need rational coefficients: each factor is scaled by the lcm L of its
 denominators, and each summed coefficient is divided back once at the end.
 Scaling Z by L scales every pair difference by L^2, so the integer sums
 already carry the signs that the sign queries read, and the divided result
-is the exact rational difference.
+is the exact rational difference.  `pair_value` evaluates the same signed
+integer slices at a dyadic point without building the product: with
+y_i = n_i / 2^s it sums ints equal to L^2 2^(2sk) times the value.
 
 The central construction is the Rayleigh difference
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .scalars import format_rat
 from .words import compress, expand, popcount, term_value
@@ -78,6 +80,13 @@ class GroundSet:
                 raise ValueError(f"repeated element {lab!r} in subset")
             w |= b
         return w
+
+    def coordinates(self, point: Mapping[str, object]) -> list:
+        """The point's value for each label, in order; ValueError names a missing label."""
+        try:
+            return [point[lab] for lab in self.labels]
+        except KeyError as exc:
+            raise ValueError(f"point has no coordinate for {exc.args[0]!r}") from None
 
     def labels_of(self, word: int) -> tuple[str, ...]:
         return tuple(lab for i, lab in enumerate(self.labels) if word >> i & 1)
@@ -173,7 +182,7 @@ class SubsetPoly:
     # evaluation and transforms ----------------------------------------------
 
     def evaluate(self, point: Mapping[str, Fraction]):
-        vals = [point[lab] for lab in self.ground.labels]
+        vals = self.ground.coordinates(point)
         return sum((term_value(c, vals, w) for w, c in self.terms.items()), Fraction(0))
 
     def dualize(self) -> "SubsetPoly":
@@ -279,7 +288,12 @@ class QuadPoly:
         return self.terms.get((sup, sq), Fraction(0))
 
     def evaluate(self, point: Mapping[str, Fraction]):
-        vals = [point[lab] for lab in self.ground.labels]
+        """Term-by-term `Fraction` value at a point: the reference route.
+
+        The CLI evaluates pair differences with `pair_value` on integer
+        slices instead; this stays for tests and the benchmark's traced run.
+        """
+        vals = self.ground.coordinates(point)
         return sum((term_value(c, vals, sup, sq) for (sup, sq), c in self.terms.items()), Fraction(0))
 
     def embedded(self, ground: GroundSet) -> "QuadPoly":
@@ -391,6 +405,34 @@ def _pair_products(ground: GroundSet, den: int, *pairs: tuple[int, dict, dict]) 
     return QuadPoly(ground, {k: Fraction(n, den) for k, n in acc.items() if n})
 
 
+def pair_value(vals: Sequence[Fraction], shift: int, den: int, *pairs: tuple[int, dict, dict]) -> tuple[int, int]:
+    """sum(sign * A(y) * B(y)) / den at y_i = vals[i], exactly, as ints (num, scale).
+
+    The point evaluator beside `_pair_products`, on the same signed pairs of
+    integer slices over k = len(vals) variables.  Each y_i must be
+    n_i / 2^shift for an int n_i, else ValueError.  A monomial y^w counts as
+    prod(n_i for i in w) * 2^(shift * (k - |w|)), so the value is num / scale
+    with scale = den * 2^(2 * shift * k) > 0, and num carries its sign.
+    """
+    one = 1 << shift
+    nums = []
+    for v in vals:
+        if one % v.denominator:
+            raise ValueError(f"coordinate {format_rat(v)} is not a multiple of 2^-{shift}")
+        nums.append(v.numerator * (one // v.denominator))
+    k = len(nums)
+    num = 0
+    for sign, a, b in pairs:
+        prod = sign
+        for slice_ in (a, b):
+            value = 0
+            for w, c in slice_.items():
+                value += term_value(c, nums, w) << shift * (k - popcount(w))
+            prod *= value
+        num += prod
+    return num, den << 2 * shift * k
+
+
 def multiply_disjoint(p: SubsetPoly, q: SubsetPoly) -> SubsetPoly:
     """Product of multiaffine polynomials on disjoint ground sets."""
     if set(p.ground.labels) & set(q.ground.labels):
@@ -433,12 +475,31 @@ def rayleigh_diff(z: SubsetPoly, e: str, f: str) -> QuadPoly:
     Nonnegative on the positive orthant iff the pair {e, f} is negatively
     correlated for every positive external field.  Rational coefficients only.
     """
+    sub, den, pairs = rayleigh_pairs(z, e, f)
+    return _pair_products(sub, den, *pairs)
+
+
+def rayleigh_pairs(z: SubsetPoly, e: str, f: str) -> tuple[GroundSet, int, tuple]:
+    """The ground set minus {e, f}, L^2 and the two signed pairs of rayleigh_diff.
+
+    The slices are Z scaled by the lcm L of its denominators, so
+    sum(sign * A * B) is L^2 times the pair difference.  `_pair_products`
+    multiplies them out; `pair_value` evaluates them at a point.
+    """
     if e == f:
         raise ValueError("the two elements must be distinct")
     be, bf = z.ground.bit(e), z.ground.bit(f)
     n, den = _scaled(z.terms)
     sub, s = _slicer(n, z.ground, e, f)
-    return _pair_products(sub, den * den, (1, s(be, bf), s(bf, be)), (-1, s(be | bf, 0), s(0, be | bf)))
+    return sub, den * den, _diff_pairs(s, be, bf)
+
+
+def _diff_pairs(s, be: int, bf: int, keep: int = 0, zero: int = 0) -> tuple:
+    """The signed slice pairs of the pair difference of the slice s(keep, zero)."""
+    return (
+        (1, s(be | keep, bf | zero), s(bf | keep, be | zero)),
+        (-1, s(be | bf | keep, zero), s(keep, be | bf | zero)),
+    )
 
 
 def _slice_bits(terms: Mapping[int, object], keep: int, zero: int) -> dict[int, object]:
@@ -466,20 +527,30 @@ def theta(z: SubsetPoly, e: str, f: str, g: str) -> QuadPoly:
     so that  diff = diff^g + y_g * theta + y_g^2 * diff_g  holds exactly.
     Rational coefficients only.
     """
+    sub, den, pairs, _, _ = triple_pairs(z, e, f, g)
+    return _pair_products(sub, den, *pairs)
+
+
+def triple_pairs(z: SubsetPoly, e: str, f: str, g: str) -> tuple[GroundSet, int, tuple, tuple, tuple]:
+    """theta's four signed pairs and those of rayleigh_diff of Z^g and of Z_g.
+
+    All three come from one scaling of Z by its lcm L and live on the ground
+    set minus {e, f, g}, so each sum(sign * A * B) is L^2 times its value:
+    (ground, L^2, theta pairs, deleted pairs, contracted pairs).
+    """
     if len({e, f, g}) != 3:
         raise ValueError("need three distinct elements")
     gr = z.ground
     be, bf, bg = gr.bit(e), gr.bit(f), gr.bit(g)
     n, den = _scaled(z.terms)
     sub, s = _slicer(n, gr, e, f, g)
-    return _pair_products(
-        sub,
-        den * den,
+    theta_pairs = (
         (1, s(be, bf | bg), s(bf | bg, be)),
         (1, s(bf, be | bg), s(be | bg, bf)),
         (-1, s(bg, be | bf), s(be | bf, bg)),
         (-1, s(be | bf | bg, 0), s(0, be | bf | bg)),
     )
+    return sub, den * den, theta_pairs, _diff_pairs(s, be, bf, zero=bg), _diff_pairs(s, be, bf, keep=bg)
 
 
 # --- exchangeable machinery --------------------------------------------------

@@ -15,6 +15,9 @@ GOLDEN = 0x9E3779B97F4A7C15
 
 DEFAULT_SEED = 0xD1CE
 
+# every log_uniform_fraction denominator divides 2^DENOMINATOR_BITS
+DENOMINATOR_BITS = 20
+
 
 class SplitMix64:
     """The classic splitmix64 generator (Steele/Lea/Flood finalizer)."""
@@ -47,7 +50,9 @@ def log_uniform_fraction(rng: SplitMix64) -> Fraction:
     """Positive dyadic rational, log-uniform across octaves of [2^-10, 2^10).
 
     An octave [2^k, 2^(k+1)) is chosen uniformly for k in [-10, 9], then a
-    10-bit mantissa picks a dyadic point inside it.
+    10-bit mantissa picks a dyadic point inside it.  The denominator is
+    2^(10 - k) before reduction, so it always divides 2^DENOMINATOR_BITS =
+    2^20; the integer point evaluator relies on this.
     """
     k = rng.below(20) - 10
     mant = 1024 + rng.below(1024)

@@ -9,9 +9,14 @@ routes to Verified:
     sum(lambda_i (y^Ai - y^Bi)^2) coefficientwise.
 
 Refutation is a concrete positive rational point where the difference is
-negative; `check_pair` re-evaluates the witness through scalar slices
-before it returns the verdict, and the values must agree exactly.  Sampling
-that finds no negative point is only ever Inconclusive.
+negative.  Sampling looks for one on Python ints: Z is scaled by the lcm of
+its denominators, the dyadic point by 2^20, and `pair_value` sums the four
+integer slices there, so only the sign of one int is read per point.
+Before `check_pair` returns a Refuted verdict it re-evaluates the witness
+in `Fraction`s by two routes, `scalar_pair_diff` (the same slices, another
+evaluator) and `covariance` (the measure summed over the whole of Z, no
+slicing), and all three values must agree exactly.  Sampling that finds no
+negative point is only ever Inconclusive.
 """
 
 from __future__ import annotations
@@ -29,12 +34,15 @@ from .polynomials import (
     SymSeq,
     canonical_ground,
     elementary_values,
+    pair_value,
     rayleigh_diff,
+    rayleigh_pairs,
     symmetrize,
     symseq_to_poly,
     theta,
+    triple_pairs,
 )
-from .prng import DEFAULT_SEED, SplitMix64, derive, log_uniform_fraction, sample_point
+from .prng import DEFAULT_SEED, DENOMINATOR_BITS, SplitMix64, derive, log_uniform_fraction, sample_point
 from .scalars import format_rat
 from .words import compress, term_value
 
@@ -141,10 +149,7 @@ def _coordinates(z: SubsetPoly, point: Mapping[str, Fraction]) -> list[Fraction]
     for lab, v in point.items():
         if v <= 0:
             raise ValueError(f"coordinate {lab!r} must be positive")
-    for lab in z.ground.labels:
-        if lab not in point:
-            raise ValueError(f"point has no coordinate for {lab!r}")
-    return [point[lab] for lab in z.ground.labels]
+    return z.ground.coordinates(point)
 
 
 def covariance(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction]) -> Fraction:
@@ -152,6 +157,17 @@ def covariance(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction]) -> 
 
     Computed directly from the measure: <X_e X_f> - <X_e><X_f>.  Matches
     -(y_e y_f / Z^2) * rayleigh_diff evaluated at the same point.
+    """
+    total, p_e, p_f, p_ef = _masses(z, e, f, point)
+    if total == 0:
+        raise ZeroDivisionError("partition function vanishes at the point")
+    return p_ef / total - (p_e / total) * (p_f / total)
+
+
+def _masses(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
+    """Z(y) and the masses of the subsets holding e, holding f and holding both.
+
+    Summed term by term over the whole of Z, with no slicing.
     """
     if not z.is_rational():
         raise TypeError("covariance needs rational coefficients")
@@ -170,19 +186,19 @@ def covariance(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction]) -> 
             p_f += mass
         if w & be and w & bf:
             p_ef += mass
-    if total == 0:
-        raise ZeroDivisionError("partition function vanishes at the point")
-    return p_ef / total - (p_e / total) * (p_f / total)
+    return total, p_e, p_f, p_ef
 
 
 def scalar_pair_diff(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction]) -> Fraction:
     """rayleigh_diff(z, e, f) at a point, via scalar slice arithmetic only.
 
-    Independent of the QuadPoly route; used to re-check refutation witnesses.
+    Shares the slice kernel with the sampler but neither the pair-product
+    kernel nor the point evaluator; used to re-check refutation witnesses.
     """
-    ze_f = z.contract(e).delete(f)
+    ze = z.contract(e)
+    ze_f = ze.delete(f)
     zf_e = z.contract(f).delete(e)
-    zef = z.contract(e).contract(f)
+    zef = ze.contract(f)
     znone = z.delete(e).delete(f)
     return ze_f.evaluate(point) * zf_e.evaluate(point) - zef.evaluate(point) * znone.evaluate(point)
 
@@ -191,17 +207,26 @@ def check_pair(z: SubsetPoly, e: str, f: str, strategy: Strategy) -> RayleighVer
     """One pair, one strategy.  Sign decisions need rational coefficients.
 
     A Refuted verdict's witness is re-evaluated through `scalar_pair_diff`,
-    which does not use the pair product; any disagreement raises
-    ArithmeticError instead of returning the verdict.
+    which does not use the point evaluator, and through the measure that
+    `covariance` sums, which does not use the slices; any disagreement
+    raises ArithmeticError instead of returning the verdict.
     """
     if not z.is_rational():
         raise TypeError("pair checks need rational coefficients; evaluate q first")
-    verdict = _judge(rayleigh_diff(z, e, f), (e, f), strategy)
+    if isinstance(strategy, SampleStrategy):
+        verdict = _sample(z, e, f, strategy)
+    else:
+        verdict = _judge(rayleigh_diff(z, e, f), (e, f), strategy)
     if verdict.refuted:
-        again = scalar_pair_diff(z, e, f, verdict.witness)
-        if again != verdict.value or again >= 0:
+        sliced = scalar_pair_diff(z, e, f, verdict.witness)
+        # Cov = -y_e y_f D / Z(y)^2 for any positive y_e, y_f; at y_e = y_f = 1,
+        # D = -Z^2 Cov = p_e p_f - p_ef Z
+        total, p_e, p_f, p_ef = _masses(z, e, f, {**verdict.witness, e: Fraction(1), f: Fraction(1)})
+        measured = p_e * p_f - p_ef * total
+        if not sliced == measured == verdict.value or sliced >= 0:
             raise ArithmeticError(
-                f"witness for pair ({e},{f}) re-evaluates to {format_rat(again)}, "
+                f"witness for pair ({e},{f}) re-evaluates to {format_rat(sliced)} through slices "
+                f"and to {format_rat(measured)} through the covariance, "
                 f"not to the sampled {format_rat(verdict.value)}"
             )
     return verdict
@@ -218,23 +243,26 @@ def _judge(diff: QuadPoly, pair: tuple[str, str], strategy: Strategy) -> Rayleig
         if residue.is_coefficientwise_nonnegative():
             return RayleighVerdict("verified", method="certificate", pair=pair)
         return RayleighVerdict("inconclusive", pair=pair, samples=0)
-    if isinstance(strategy, SampleStrategy):
-        rng = SplitMix64(strategy.seed)
-        labels = diff.ground.labels
-        min_value: Fraction | None = None
-        for i in range(strategy.samples):
-            point = sample_point(rng, labels)
-            value = diff.evaluate(point)
-            if min_value is None or value < min_value:
-                min_value = value
-            if value < 0:
-                return RayleighVerdict(
-                    "refuted", pair=pair, witness=dict(point), value=value, samples=i + 1
-                )
-        return RayleighVerdict(
-            "inconclusive", pair=pair, samples=strategy.samples, min_value=min_value
-        )
     raise TypeError(f"unknown strategy {strategy!r}")
+
+
+def _sample(z: SubsetPoly, e: str, f: str, strategy: SampleStrategy) -> RayleighVerdict:
+    """The first sampled point where the pair difference is negative, compared on ints."""
+    sub, den, pairs = rayleigh_pairs(z, e, f)
+    rng = SplitMix64(strategy.seed)
+    least = None
+    for i in range(strategy.samples):
+        point = sample_point(rng, sub.labels)
+        num, scale = pair_value(sub.coordinates(point), DENOMINATOR_BITS, den, *pairs)
+        if num < 0:
+            return RayleighVerdict(
+                "refuted", pair=(e, f), witness=point, value=Fraction(num, scale), samples=i + 1
+            )
+        if least is None or num < least:
+            least = num
+    return RayleighVerdict(
+        "inconclusive", pair=(e, f), samples=strategy.samples, min_value=Fraction(least, scale)
+    )
 
 
 @dataclass(frozen=True)
@@ -330,16 +358,15 @@ def _exchangeable_witness(seq: SymSeq, k: int):
         # violation from an internal zero at the boundary of the support
         k = max(1, min(m - 1, k))
     e, f = labels[k - 1], labels[k]
-    diff = rayleigh_diff(z, e, f)
-    others = [lab for lab in labels if lab not in (e, f)]
+    sub, den, pairs = rayleigh_pairs(z, e, f)
     for step in range(1, 41):
         t = Fraction(1, 2**step)
         point = {}
-        for i, lab in enumerate(others):
+        for i, lab in enumerate(sub.labels):
             point[lab] = 1 / t if i < k - 1 else t
-        value = diff.evaluate(point)
-        if value < 0:
-            return (e, f), point, value
+        num, scale = pair_value(sub.coordinates(point), step, den, *pairs)
+        if num < 0:
+            return (e, f), point, Fraction(num, scale)
     return None
 
 
@@ -577,28 +604,30 @@ def triple_condition_check(
     )
     decomposition_ok = rebuilt == full
 
+    # theta and both differences carry one positive scale S, so the slack is
+    # compared on ints times S^2: t * S where theta >= 0, else 4ac - t^2
+    sub, den, theta_pairs, del_pairs, con_pairs = triple_pairs(z, e, f, g)
     rng = SplitMix64(seed)
-    labels = th.ground.labels
     holds = True
-    min_slack: Fraction | None = None
+    least: int | None = None
     for _ in range(samples):
-        point = sample_point(rng, labels)
-        tv = th.evaluate(point)
-        if tv >= 0:
-            slack = tv
+        vals = sub.coordinates(sample_point(rng, sub.labels))
+        t, scale = pair_value(vals, DENOMINATOR_BITS, den, *theta_pairs)
+        if t >= 0:
+            slack = t * scale
         else:
-            av = diff_del.evaluate(point)
-            cv = diff_con.evaluate(point)
-            slack = 4 * av * cv - tv * tv
+            a, _ = pair_value(vals, DENOMINATOR_BITS, den, *del_pairs)
+            c, _ = pair_value(vals, DENOMINATOR_BITS, den, *con_pairs)
+            slack = 4 * a * c - t * t
             if slack < 0:
                 holds = False
-        if min_slack is None or slack < min_slack:
-            min_slack = slack
+        if least is None or slack < least:
+            least = slack
     return TripleReport(
         triple=(e, f, g),
         points=samples,
         holds=holds,
-        min_slack=min_slack if min_slack is not None else Fraction(0),
+        min_slack=Fraction(least, scale * scale) if least is not None else Fraction(0),
         decomposition_ok=decomposition_ok,
     )
 

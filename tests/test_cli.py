@@ -1,11 +1,13 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from rayleigh_forge import rayleigh
+from rayleigh_forge import polynomials, rayleigh
 from rayleigh_forge.cli import main
-from rayleigh_forge.polynomials import QuadPoly
+from rayleigh_forge.scalars import parse_rat
+from rayleigh_forge.words import popcount
 
 F = Fraction
 
@@ -88,6 +90,16 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def recheck_values(err: str) -> tuple[Fraction, Fraction, Fraction]:
+    """The slice, covariance and sampled values named by a witness mismatch."""
+    found = re.search(
+        r"re-evaluates to (\S+) through slices and to (\S+) through the covariance, not to the sampled (\S+)",
+        err,
+    )
+    assert found, err
+    return tuple(parse_rat(x) for x in found.groups())
+
+
 def run_json(files, argv, capsys):
     out = files["dir"] / "report.json"
     code = run(argv + ["--json", str(out)])
@@ -136,17 +148,33 @@ class TestRayleighCheck:
         assert code == 2
 
     def test_witness_mismatch_exits_3(self, files, monkeypatch, capsys):
-        # a pair difference off by one: the sampled witness no longer
-        # re-evaluates to its value through the scalar slice route
-        real = rayleigh.rayleigh_diff
+        # the point evaluator off by one: the sampled value no longer agrees
+        # with the scalar slice route, nor with the covariance
+        real = rayleigh.pair_value
 
-        def perturbed(z, e, f):
-            diff = real(z, e, f)
-            return diff - QuadPoly(diff.ground, {(0, 0): F(1)})
+        def skewed(*args):
+            num, scale = real(*args)
+            return num - 1, scale
 
-        monkeypatch.setattr(rayleigh, "rayleigh_diff", perturbed)
+        monkeypatch.setattr(rayleigh, "pair_value", skewed)
         assert run(["rayleigh", "check", files["corr"], "--strategy", "sample"]) == 3
-        assert "re-evaluates" in capsys.readouterr().err
+        sliced, measured, sampled = recheck_values(capsys.readouterr().err)
+        assert sliced == measured != sampled
+
+    def test_slice_skew_caught_by_covariance(self, files, monkeypatch, capsys):
+        # a slice kernel that scales each contraction by 2 per contracted
+        # element composes like the real one, so the sampler and the scalar
+        # slice route agree on 4 * D; only the covariance, which sums the
+        # measure over the whole of Z, still reads D
+        real = polynomials._slice_bits
+
+        def skewed(terms, keep, zero):
+            return {w: c * 2 ** popcount(keep) for w, c in real(terms, keep, zero).items()}
+
+        monkeypatch.setattr(polynomials, "_slice_bits", skewed)
+        assert run(["rayleigh", "check", files["corr3"], "--strategy", "sample"]) == 3
+        sliced, measured, sampled = recheck_values(capsys.readouterr().err)
+        assert sliced == sampled == 4 * measured != measured
 
     def test_certificate_route(self, files):
         code = run(

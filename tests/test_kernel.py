@@ -1,9 +1,10 @@
-"""The integer pair-product kernel against a Fraction reference.
+"""The integer pair-product kernel and point evaluator against a Fraction reference.
 
-`multiply`, `rayleigh_diff` and `theta` share one integer kernel.  The
-reference here slices through label sets and multiplies `Fraction`
-coefficients term by term, so it shares neither the kernel, the scaling
-nor the word re-indexing with the code under test.
+`multiply`, `rayleigh_diff` and `theta` share one integer kernel, and
+`pair_value` evaluates the same integer slices at a point.  The reference
+here slices through label sets and multiplies `Fraction` coefficients term
+by term, so it shares neither the kernel, the evaluator, the scaling nor
+the word re-indexing with the code under test.
 """
 
 from fractions import Fraction
@@ -14,8 +15,20 @@ from hypothesis import strategies as st
 
 from rayleigh_forge.corpus import k4_certificates
 from rayleigh_forge.matroids import complete_graph, cycle_graph, graphic_matroid, uniform_matroid
-from rayleigh_forge.polynomials import GroundSet, QuadPoly, SubsetPoly, canonical_ground, multiply, rayleigh_diff, theta
+from rayleigh_forge.polynomials import (
+    GroundSet,
+    QuadPoly,
+    SubsetPoly,
+    canonical_ground,
+    multiply,
+    pair_value,
+    rayleigh_diff,
+    rayleigh_pairs,
+    theta,
+    triple_pairs,
+)
 from rayleigh_forge.potts import Model, model_poly, potts_poly
+from rayleigh_forge.prng import DENOMINATOR_BITS, SplitMix64, sample_point
 from rayleigh_forge.rayleigh import SquareCertificate
 from rayleigh_forge.scalars import LaurentQ
 
@@ -81,9 +94,9 @@ def assert_matches(got, ref) -> None:
 
 
 @st.composite
-def weight_polys(draw, min_m: int = 2):
+def weight_polys(draw, min_m: int = 2, max_m: int = 6):
     """Single-letter labels, so the reference can spell slices as strings."""
-    g = GroundSet("abcdef"[: draw(st.integers(min_m, 6))])
+    g = GroundSet("abcdefg"[: draw(st.integers(min_m, max_m))])
     terms = draw(st.dictionaries(st.integers(0, g.full), COEFFS, max_size=40))
     return SubsetPoly(g, terms)
 
@@ -140,6 +153,57 @@ def test_cross_terms_cancel_in_one_product(p, c, d, word):
     plus = SubsetPoly(p.ground, {0: c, word: d})
     minus = SubsetPoly(p.ground, {0: c, word: -d})
     assert multiply(plus, minus).terms == {(0, 0): c * c, (word, word): -d * d}
+
+
+def ref_value(ref, point) -> Fraction:
+    sub, terms = ref
+    return QuadPoly(sub, terms).evaluate(point)
+
+
+@st.composite
+def points(draw, labels):
+    """A sampled dyadic point (shift 20) or one with coordinates 2^-40, 1 and 2^40 (shift 40)."""
+    if draw(st.booleans()):
+        return DENOMINATOR_BITS, sample_point(SplitMix64(draw(st.integers(0, 2**64 - 1))), labels)
+    extremes = st.sampled_from((F(1, 2**40), F(1), F(2**40)))
+    return 40, {lab: draw(extremes) for lab in labels}
+
+
+def evaluated(sub, shift, point, den, pairs) -> Fraction:
+    num, scale = pair_value(sub.coordinates(point), shift, den, *pairs)
+    assert scale > 0
+    return Fraction(num, scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weight_polys(2, 7), st.data())
+def test_pair_value_matches_fraction_reference(z, data):
+    e, f = data.draw(st.permutations(z.ground.labels))[:2]
+    sub, den, pairs = rayleigh_pairs(z, e, f)
+    shift, point = data.draw(points(sub.labels))
+    assert evaluated(sub, shift, point, den, pairs) == ref_value(ref_diff(z, e, f), point)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weight_polys(3, 7), st.data())
+def test_triple_pair_values_match_fraction_reference(z, data):
+    e, f, g = data.draw(st.permutations(z.ground.labels))[:3]
+    sub, den, theta_pairs, del_pairs, con_pairs = triple_pairs(z, e, f, g)
+    shift, point = data.draw(points(sub.labels))
+    assert evaluated(sub, shift, point, den, theta_pairs) == ref_value(ref_theta(z, e, f, g), point)
+    assert evaluated(sub, shift, point, den, del_pairs) == ref_value(ref_diff(z.delete(g), e, f), point)
+    assert evaluated(sub, shift, point, den, con_pairs) == ref_value(ref_diff(z.contract(g), e, f), point)
+
+
+@pytest.mark.parametrize("shift, coordinate", [(20, F(1, 3)), (20, F(1, 2**21)), (40, F(5, 2**41)), (0, F(1, 2))])
+def test_pair_value_refuses_inexact_coordinates(shift, coordinate):
+    z = SubsetPoly(canonical_ground(3), {0: F(1), 4: F(1, 3), 7: F(2)})
+    sub, den, pairs = rayleigh_pairs(z, "1", "2")
+    assert sub.labels == ("3",)
+    with pytest.raises(ValueError, match="not a multiple"):
+        pair_value([coordinate], shift, den, *pairs)
+    num, scale = pair_value([F(3, 2**shift)], shift, den, *pairs)
+    assert Fraction(num, scale) == ref_value(ref_diff(z, "1", "2"), {"3": F(3, 2**shift)})
 
 
 POTTS_MATROIDS = (

@@ -4,6 +4,7 @@ import pytest
 
 from rayleigh_forge.prng import (
     DEFAULT_SEED,
+    DENOMINATOR_BITS,
     SplitMix64,
     derive,
     log_uniform_fraction,
@@ -61,6 +62,14 @@ def test_log_uniform_fraction_range_and_exactness():
         assert Fraction(1, 1024) <= v < 1024
         # dyadic: denominator is a power of two
         assert v.denominator & (v.denominator - 1) == 0
+
+
+def test_log_uniform_denominators_divide_2_to_the_20():
+    # the integer point evaluator scales sampled coordinates by 2^20 exactly
+    assert DENOMINATOR_BITS == 20
+    rng = SplitMix64(3)
+    for _ in range(5000):
+        assert (1 << 20) % log_uniform_fraction(rng).denominator == 0
 
 
 def test_unit_fraction_strictly_inside():

@@ -95,6 +95,11 @@ class TestScalarPairDiff:
             rest = {k: v for k, v in point.items() if k not in ("2", "4")}
             assert scalar_pair_diff(z, "2", "4", point) == rayleigh_diff(z, "2", "4").evaluate(rest)
 
+    def test_missing_coordinate_named(self):
+        z = model_poly(uniform_matroid(4, 2), Model("bases")).poly
+        with pytest.raises(ValueError, match="'4'"):
+            scalar_pair_diff(z, "1", "2", {"3": F(1)})
+
 
 class TestStrategies:
     def test_coeff_verifies_u32(self):
