@@ -80,14 +80,12 @@ from .rayleigh import (
 from .scalars import LaurentQ, format_rat, parse_rat
 from .sequences import (
     Seq,
-    UniPoly,
     check_condition,
     check_many,
     convolution_identity,
     convolve,
     mason_report,
     seq_from_values,
-    sturm_real_roots,
 )
 from .supports import (
     SupportProfile,

@@ -27,7 +27,6 @@ from .matroids import (
     cycle_graph,
     enumerate_family,
     forest_identity_at,
-    forest_weights,
     graphic_matroid,
     invariant_sequences,
     path_graph,
@@ -64,6 +63,7 @@ from .rayleigh import (
     exchangeable_check,
     negative_association_check,
     scalar_pair_diff,
+    sliced_pair_diff,
     triple_condition_check,
 )
 from .sequences import Seq, check_condition, convolution_identity, convolve, seq_from_values
@@ -497,13 +497,13 @@ def _item_forest_charpoly(ctx: CorpusContext) -> tuple[bool, str]:
             if not graph.is_connected():
                 continue
             exhaustive += 1
-            forest_weights(graph)  # raises if the y = 1 charpoly identity breaks
+            # forest_identity_at builds forest_weights, which raises if the
+            # y = 1 charpoly identity breaks
             y = {lab: log_uniform_fraction(rng) for _, _, lab in graph.edges}
             if not forest_identity_at(graph, y):
                 fails.append(("exhaustive", n, mask))
     for i in range(20):
         graph = _random_connected_graph(rng, 2 + rng.below(7))
-        forest_weights(graph)
         y = {lab: log_uniform_fraction(rng) for _, _, lab in graph.edges}
         if not forest_identity_at(graph, y):
             fails.append(("random", i))
@@ -645,10 +645,13 @@ def weight_fuzz(count: int, seed: int, max_m: int = 6) -> tuple[bool, str]:
         if check_all(z, CoeffStrategy()).all_verified:
             verified += 1
             pairs = list(itertools.combinations(labels, 2))
+            diffs: dict[tuple[str, str], Callable] = {}
             for _ in range(100):
                 e, f = pairs[rng.below(len(pairs))]
                 point = sample_point(rng, labels)
-                if scalar_pair_diff(z, e, f, point) < 0:
+                if (e, f) not in diffs:
+                    diffs[e, f] = sliced_pair_diff(z, e, f)
+                if diffs[e, f](point) < 0:
                     problems.append((i, "negative-sample"))
                     break
             for lab in labels:

@@ -381,32 +381,86 @@ class InvariantSequences:
     c: tuple[int, ...] | None = None
 
 
-def invariant_sequences(matroid: Matroid, fixed: Iterable[str] | None = None) -> InvariantSequences:
-    """Independent-set counts, flat counts by rank, characteristic-polynomial
-    magnitudes, the h-vector of the independence complex, and (optionally)
-    basis counts by intersection size with a fixed subset."""
+def rank_table(matroid: Matroid) -> bytearray:
+    """rank(w) for every subset word w, indexed by w.
+
+    A graphic matroid fills the table by a depth-first walk that adds edges in
+    word order to a union-find and rolls each union back on the way out, so
+    every subset costs one union attempt.  Any other matroid makes one rank
+    call per subset.
+    """
     m = matroid.ground.m
     if m > ENUM_LIMIT:
         raise ValueError(f"enumeration capped at {ENUM_LIMIT} elements")
-    r = matroid.r
+    table = bytearray(1 << m)
+    if matroid.provenance[0] == "graphic":
+        _, n, ends = matroid.provenance
+        _graphic_ranks(table, n, ends)
+    else:
+        rank = matroid.rank
+        for w in range(1 << m):
+            table[w] = rank(w)
+    return table
+
+
+def _graphic_ranks(table: bytearray, n: int, ends: Sequence[tuple[int, int]]) -> None:
+    parent = list(range(n))
+    size = [1] * n
+    m = len(ends)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def walk(start: int, word: int, rk: int) -> None:
+        # every word is reached once, from word minus its top bit
+        for i in range(start, m):
+            w = word | 1 << i
+            u, v = ends[i]
+            ru, rv = find(u), find(v)
+            joins = ru != rv
+            if joins:
+                if size[ru] > size[rv]:
+                    ru, rv = rv, ru
+                parent[ru] = rv
+                size[rv] += size[ru]
+            table[w] = rk + joins
+            if i + 1 < m:
+                walk(i + 1, w, rk + joins)
+            if joins:
+                parent[ru] = ru
+                size[rv] -= size[ru]
+
+    walk(0, 0, 0)
+
+
+def invariant_sequences(matroid: Matroid, fixed: Iterable[str] | None = None) -> InvariantSequences:
+    """Independent-set counts, flat counts by rank, characteristic-polynomial
+    magnitudes, the h-vector of the independence complex, and (optionally)
+    basis counts by intersection size with a fixed subset.  Every count reads
+    the `rank_table`."""
+    table = rank_table(matroid)
+    m = matroid.ground.m
+    full = matroid.ground.full
+    r = table[full]
     I = [0] * (r + 1)
     W = [0] * (r + 1)
     char = [0] * (r + 1)  # coefficient of t^j at index j
     fixed_word = matroid.ground.word(fixed) if fixed is not None else None
     cmax = min(r, popcount(fixed_word)) if fixed_word is not None else 0
     c = [0] * (cmax + 1) if fixed_word is not None else None
-    for w in matroid.ground.subsets():
-        rk = matroid.rank(w)
+    for w, rk in enumerate(table):
         size = popcount(w)
         if rk == size:
             I[size] += 1
         char[r - rk] += -1 if size & 1 else 1
         is_flat = True
-        rest = matroid.ground.full & ~w
+        rest = full & ~w
         while rest:
             bit = rest & -rest
             rest ^= bit
-            if matroid.rank(w | bit) == rk:
+            if table[w | bit] == rk:
                 is_flat = False
                 break
         if is_flat:
@@ -421,7 +475,6 @@ def invariant_sequences(matroid: Matroid, fixed: Iterable[str] | None = None) ->
         for k in range(n):
             acc -= h[k] * comb_frac(r - k, n - k)
         h.append(acc)
-    loopless = all(not matroid.is_loop(lab) for lab in matroid.ground.labels)
     return InvariantSequences(
         m=m,
         r=r,
@@ -430,7 +483,7 @@ def invariant_sequences(matroid: Matroid, fixed: Iterable[str] | None = None) ->
         chi=chi,
         h=tuple(h),
         h_integral=all(x.denominator == 1 for x in h),
-        loopless=loopless,
+        loopless=all(table[1 << i] for i in range(m)),
         c=tuple(c) if c is not None else None,
     )
 

@@ -11,15 +11,15 @@ The conditions, weakest useful first:
   a6  sum a_k t^k has only real, nonpositive roots
 
 a6 implies a5 and a0; a5 => a4 => a3 => a2; a2 plus a0 give a1.  All checks
-are exact over the rationals; a6 goes through square-free decomposition and
-Sturm chains rather than numeric root finding.
+are exact over the rationals; a6 counts roots with one fraction-free integer
+Sturm chain rather than numeric root finding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 from .matroids import Matroid, comb_frac, invariant_sequences
@@ -129,12 +129,7 @@ def check_condition(seq: Seq, cond: str) -> ConditionVerdict:
         v = _log_concavity(seq, lambda k: 1 / comb_frac(r, k))
         return ConditionVerdict(cond, v.holds, v.witness)
     if cond == "a6":
-        p = seq_poly(seq)
-        if p.is_zero:
-            return ConditionVerdict(cond, True)
-        real = sturm_real_roots(p)
-        positive = sturm_real_roots(p, (Fraction(0), None))
-        return ConditionVerdict(cond, real == p.degree and positive == 0)
+        return ConditionVerdict(cond, _real_rooted(seq))
     raise ValueError(f"unknown condition {cond!r}")
 
 
@@ -142,190 +137,83 @@ def check_many(seq: Seq, conds: Sequence[str]) -> dict[str, ConditionVerdict]:
     return {c: check_condition(seq, c) for c in conds}
 
 
-# --- exact univariate machinery ----------------------------------------------------
+# --- a6: one fraction-free Sturm chain ------------------------------------------------
 
 
-class UniPoly:
-    """Dense univariate polynomial over the rationals. Internal plumbing for a6."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable):
-        cs = [_rational(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> Fraction:
-        return self.coeffs[-1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"UniPoly({list(self.coeffs)})"
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly(i * c for i, c in enumerate(self.coeffs) if i)
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        lead = self.lead
-        return UniPoly(c / lead for c in self.coeffs)
-
-    def scale(self, x: Fraction) -> "UniPoly":
-        return UniPoly(c * x for c in self.coeffs)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] -= c
-        return UniPoly(a)
-
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return UniPoly([]), self
-        quo = [Fraction(0)] * (dq + 1)
-        dlead = other.lead
-        for i in range(dq, -1, -1):
-            c = rem[i + other.degree] / dlead
-            quo[i] = c
-            if c:
-                for j, oc in enumerate(other.coeffs):
-                    rem[i + j] -= c * oc
-        return UniPoly(quo), UniPoly(rem)
-
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ValueError("inexact polynomial division")
-        return q
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[1]
+def _primitive(coeffs: list[int]) -> list[int]:
+    g = gcd(*coeffs)
+    return [c // g for c in coeffs]
 
 
-def seq_poly(seq: Seq) -> UniPoly:
-    coeffs = [Fraction(0)] * seq.offset + list(seq.entries)
-    return UniPoly(coeffs)
+def _negated_prem(a: list[int], b: list[int]) -> list[int]:
+    """-|lc(b)|^(deg a - deg b + 1) * (a mod b), divided by its positive content.
+
+    Coefficients run low degree first.  Only positive scalars touch the Euclidean
+    remainder, so the chain keeps the sign pattern of the classical Sturm chain
+    (Collins, JACM 1967; Brown and Traub, JACM 1971).
+    """
+    lc = abs(b[-1])
+    if b[-1] < 0:
+        b = [-c for c in b]
+    db = len(b) - 1
+    r = list(a)
+    for i in range(len(a) - 1 - db, -1, -1):
+        top = r.pop()
+        r = [lc * c for c in r]
+        if top:
+            for j in range(db):
+                r[i + j] -= top * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return [-c for c in _primitive(r)] if r else r
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+def sturm_chain(seq: Seq) -> list[list[int]]:
+    """Fraction-free Sturm chain of sum a_k t^k, low degree first; [] below degree 1.
 
-
-def squarefree_decompose(p: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Yun's algorithm: p = const * prod g_i^i with the g_i squarefree, coprime."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.degree < 1:
+    The entries are cleared by the lcm of their denominators and stripped of
+    the factor t^offset, whose roots are real.  The chain is the primitive parts
+    of p and p', then negated pseudo-remainders until one vanishes.  Element by
+    element it is a positive multiple of the classical chain p, p', -rem, ...,
+    and its last element is gcd(p, p') up to a scalar.
+    """
+    den = lcm(*(a.denominator for a in seq.entries))
+    p = [a.numerator * (den // a.denominator) for a in seq.entries]
+    while p and not p[-1]:
+        p.pop()
+    low = 0
+    while low < len(p) and not p[low]:
+        low += 1
+    p = p[low:]
+    if len(p) < 2:
         return []
-    d = poly_gcd(p, p.derivative())
-    if d.degree == 0:
-        return [(p.monic(), 1)]
-    b = p // d
-    c = p.derivative() // d
-    out: list[tuple[UniPoly, int]] = []
-    i = 1
-    while b.degree >= 1:
-        w = c - b.derivative()
-        a = poly_gcd(b, w)
-        if a.degree >= 1:
-            out.append((a, i))
-            b = b // a
-            c = w // a
-        else:
-            c = w
-        i += 1
-    return out
-
-
-def _sturm_chain(p: UniPoly) -> list[UniPoly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero:
-        rem = chain[-2] % chain[-1]
-        chain.append(rem.scale(Fraction(-1)))
-    chain.pop()
+    chain = [_primitive(p), _primitive([i * c for i, c in enumerate(p) if i])]
+    while len(chain[-1]) > 1:
+        rem = _negated_prem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(rem)
     return chain
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _real_rooted(seq: Seq) -> bool:
+    """Whether sum a_k t^k has only real roots, counted with multiplicity.
 
-
-def _variations(signs: list[int]) -> int:
-    seq = [s for s in signs if s]
-    return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
-
-
-def _variations_at(chain: list[UniPoly], point: Fraction | None, neg_infinity: bool = False) -> int:
-    if point is None:
-        if neg_infinity:
-            signs = [_sign(f.lead) * (-1 if f.degree & 1 else 1) for f in chain]
-        else:
-            signs = [_sign(f.lead) for f in chain]
-    else:
-        signs = [_sign(f.evaluate(point)) for f in chain]
-    return _variations(signs)
-
-
-def _deflate(p: UniPoly, root: Fraction) -> UniPoly:
-    return p // UniPoly([-root, Fraction(1)])
-
-
-def _distinct_roots_in(p: UniPoly, lo: Fraction | None, hi: Fraction | None) -> int:
-    """Distinct real roots of squarefree p in (lo, hi]; None means unbounded."""
-    count = 0
-    if hi is not None and not p.evaluate(hi):
-        count += 1
-        p = _deflate(p, hi)
-    if lo is not None and not p.evaluate(lo):
-        p = _deflate(p, lo)
-    if p.degree < 1:
-        return count
-    chain = _sturm_chain(p)
-    return count + _variations_at(chain, lo, neg_infinity=True) - _variations_at(chain, hi)
-
-
-def sturm_real_roots(
-    p: UniPoly, interval: tuple[Fraction | None, Fraction | None] | None = None
-) -> int:
-    """Real roots of p counted with multiplicity, restricted to (lo, hi] if given."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    lo, hi = interval if interval is not None else (None, None)
-    if lo is not None and hi is not None and lo >= hi:
-        raise ValueError("empty interval")
-    return sum(
-        mult * _distinct_roots_in(factor, lo, hi)
-        for factor, mult in squarefree_decompose(p)
-    )
+    By Sturm's theorem V(-inf) - V(+inf) on `sturm_chain` counts the distinct
+    real roots of p, and p has deg p - deg(last) distinct roots in all, so p is
+    real-rooted exactly when the two agree.  `Seq` refuses negative entries, so
+    p(t) > 0 for t > 0 and no root is positive: real-rooted already means real
+    and nonpositive.
+    """
+    chain = sturm_chain(seq)
+    if not chain:
+        return True
+    at_plus = [c[-1] > 0 for c in chain]
+    # at -inf an odd degree (an even coefficient count) flips the leading sign
+    at_minus = [(c[-1] > 0) != (len(c) % 2 == 0) for c in chain]
+    v_minus = sum(x != y for x, y in zip(at_minus, at_minus[1:]))
+    v_plus = sum(x != y for x, y in zip(at_plus, at_plus[1:]))
+    return v_minus - v_plus == len(chain[0]) - len(chain[-1])
 
 
 # --- convolution -------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rayleigh_forge.matroids import (
     BasisExchangeError,
@@ -17,6 +19,7 @@ from rayleigh_forge.matroids import (
     matroid_from_bases,
     parallel_extend,
     path_graph,
+    rank_table,
     two_sum,
     uniform_matroid,
     weighted_laplacian_charpoly,
@@ -226,6 +229,87 @@ class TestInvariantSequences:
         inv = invariant_sequences(uniform_matroid(3, 0))
         assert not inv.loopless
         assert inv.I == (1,)
+
+
+def memo_invariants(matroid, fixed=None):
+    """invariant_sequences by rank-oracle calls on every subset and its one-element
+    extensions, as the memo dict answers them; the reference for the rank table."""
+    ground = matroid.ground
+    r = matroid.r
+    I, W, char = [0] * (r + 1), [0] * (r + 1), [0] * (r + 1)
+    fixed_word = ground.word(fixed) if fixed is not None else None
+    c = [0] * (min(r, popcount(fixed_word)) + 1) if fixed is not None else None
+    for w in ground.subsets():
+        rk, size = matroid.rank(w), popcount(w)
+        if rk == size:
+            I[size] += 1
+        char[r - rk] += (-1) ** size
+        if all(matroid.rank(w | 1 << i) > rk for i in range(ground.m) if not w >> i & 1):
+            W[rk] += 1
+        if c is not None and rk == size == r:
+            c[popcount(w & fixed_word)] += 1
+    return I, W, [abs(char[r - k]) for k in range(r + 1)], c
+
+
+@st.composite
+def multigraphs(draw):
+    n = draw(st.integers(1, 6))
+    if n == 1:
+        return Graph(1, ())
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=11))
+    edges = [(u, v) for u, v in pairs if u != v]
+    # parallel edges on purpose: repeat a drawn edge
+    edges += edges[: draw(st.integers(0, 2))]
+    return Graph(n, tuple((u, v, f"e{i}") for i, (u, v) in enumerate(edges)))
+
+
+class TestRankTable:
+    """The rank table behind invariant_sequences against the memoized rank oracle."""
+
+    def assert_matches(self, matroid, fixed=None):
+        table = rank_table(matroid)
+        assert len(table) == 1 << matroid.ground.m
+        assert all(table[w] == matroid.rank(w) for w in matroid.ground.subsets())
+        inv = invariant_sequences(matroid, fixed=fixed)
+        I, W, chi, c = memo_invariants(matroid, fixed)
+        assert (list(inv.I), list(inv.W), list(inv.chi)) == (I, W, chi)
+        assert (list(inv.c) if inv.c is not None else None) == c
+        assert inv.loopless == all(not matroid.is_loop(lab) for lab in matroid.ground.labels)
+
+    @given(multigraphs())
+    @settings(max_examples=80, deadline=None)
+    def test_graphic_multigraphs(self, graph):
+        self.assert_matches(graphic_matroid(graph))
+
+    def test_uniform_bases_and_constructions(self):
+        k4 = graphic_matroid(complete_graph(4))
+        square = graphic_matroid(Graph(4, ((0, 1, "b1"), (1, 2, "b2"), (2, 3, "b3"), (3, 0, "1"))))
+        bases = matroid_from_bases(enumerate_family(k4, "bases"))
+        assert bases.provenance[0] == "bases"
+        for matroid in (
+            uniform_matroid(0, 0),
+            uniform_matroid(5, 2),
+            uniform_matroid(4, 4),
+            bases,
+            k4.dual(),
+            two_sum(k4, square.dual(), "1"),
+            parallel_extend(k4, {"1": 3, "6": 2}),
+            graphic_matroid(Graph(3, ((0, 1, "a"), (0, 1, "b"), (1, 2, "c")))),
+        ):
+            self.assert_matches(matroid)
+
+    def test_fixed_subset_counts(self):
+        k4 = graphic_matroid(complete_graph(4))
+        self.assert_matches(k4, fixed=("1",))
+        self.assert_matches(k4, fixed=("1", "2", "6"))
+        self.assert_matches(uniform_matroid(5, 3), fixed=("2", "4"))
+        self.assert_matches(uniform_matroid(3, 2), fixed=())
+
+    def test_no_elements(self):
+        for matroid in (uniform_matroid(0, 0), graphic_matroid(Graph(1, ()))):
+            inv = invariant_sequences(matroid)
+            assert (inv.I, inv.W, inv.chi, inv.r) == ((1,), (1,), (1,), 0)
+            assert rank_table(matroid) == bytearray(1)
 
 
 class TestForestWeights:

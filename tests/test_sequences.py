@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rayleigh_forge.matroids import (
@@ -12,19 +12,171 @@ from rayleigh_forge.matroids import (
 )
 from rayleigh_forge.sequences import (
     CONDITIONS,
-    UniPoly,
+    Seq,
     check_condition,
     check_many,
     convolution_identity,
     convolve,
     mason_report,
     seq_from_values,
-    seq_poly,
-    squarefree_decompose,
-    sturm_real_roots,
+    sturm_chain,
 )
 
 F = Fraction
+
+
+# --- Fraction reference for a6: Yun's square-free decomposition, then Sturm ----------
+
+
+class UniPoly:
+    """Dense univariate polynomial over the rationals, low degree first."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        cs = [F(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def lead(self) -> Fraction:
+        return self.coeffs[-1]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+
+    def evaluate(self, x: Fraction) -> Fraction:
+        acc = F(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self) -> "UniPoly":
+        return UniPoly(i * c for i, c in enumerate(self.coeffs) if i)
+
+    def monic(self) -> "UniPoly":
+        return self if self.is_zero else UniPoly(c / self.lead for c in self.coeffs)
+
+    def __sub__(self, other: "UniPoly") -> "UniPoly":
+        a = list(self.coeffs) + [F(0)] * max(0, len(other.coeffs) - len(self.coeffs))
+        for i, c in enumerate(other.coeffs):
+            a[i] -= c
+        return UniPoly(a)
+
+    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
+        rem = list(self.coeffs)
+        dq = len(rem) - len(other.coeffs)
+        if dq < 0:
+            return UniPoly([]), self
+        quo = [F(0)] * (dq + 1)
+        for i in range(dq, -1, -1):
+            c = rem[i + other.degree] / other.lead
+            quo[i] = c
+            for j, oc in enumerate(other.coeffs):
+                rem[i + j] -= c * oc
+        return UniPoly(quo), UniPoly(rem)
+
+    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
+        q, r = self.divmod(other)
+        assert r.is_zero, "inexact polynomial division"
+        return q
+
+    def __mod__(self, other: "UniPoly") -> "UniPoly":
+        return self.divmod(other)[1]
+
+
+def seq_poly(seq: Seq) -> UniPoly:
+    return UniPoly([F(0)] * seq.offset + list(seq.entries))
+
+
+def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+def squarefree_decompose(p: UniPoly) -> list[tuple[UniPoly, int]]:
+    """Yun's algorithm: p = const * prod g_i^i with the g_i squarefree and coprime."""
+    if p.degree < 1:
+        return []
+    d = poly_gcd(p, p.derivative())
+    if d.degree == 0:
+        return [(p.monic(), 1)]
+    b = p // d
+    c = p.derivative() // d
+    out = []
+    i = 1
+    while b.degree >= 1:
+        w = c - b.derivative()
+        a = poly_gcd(b, w)
+        if a.degree >= 1:
+            out.append((a, i))
+            b = b // a
+            c = w // a
+        else:
+            c = w
+        i += 1
+    return out
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _variations(chain: list[UniPoly], point, neg_infinity: bool = False) -> int:
+    if point is None:
+        signs = [_sign(f.lead) * (-1 if neg_infinity and f.degree & 1 else 1) for f in chain]
+    else:
+        signs = [s for s in (_sign(f.evaluate(point)) for f in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def classical_chain(p: UniPoly) -> list[UniPoly]:
+    """p, p', then negated Euclidean remainders until one vanishes."""
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero:
+        chain.append(UniPoly(-c for c in (chain[-2] % chain[-1]).coeffs))
+    chain.pop()
+    return chain
+
+
+def _distinct_roots_in(p: UniPoly, lo, hi) -> int:
+    """Distinct real roots of squarefree p in (lo, hi]; None means unbounded."""
+    count = 0
+    if hi is not None and not p.evaluate(hi):
+        count += 1
+        p = p // UniPoly([-hi, 1])
+    if lo is not None and not p.evaluate(lo):
+        p = p // UniPoly([-lo, 1])
+    if p.degree < 1:
+        return count
+    chain = classical_chain(p)
+    return count + _variations(chain, lo, neg_infinity=True) - _variations(chain, hi)
+
+
+def sturm_real_roots(p: UniPoly, interval=None) -> int:
+    """Real roots of p counted with multiplicity, restricted to (lo, hi] if given."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    lo, hi = interval if interval is not None else (None, None)
+    return sum(mult * _distinct_roots_in(g, lo, hi) for g, mult in squarefree_decompose(p))
+
+
+def reference_a6(seq: Seq) -> bool:
+    """All roots real and none positive, by two Sturm counts per square-free factor."""
+    p = seq_poly(seq)
+    if p.is_zero:
+        return True
+    return sturm_real_roots(p) == p.degree and sturm_real_roots(p, (F(0), None)) == 0
 
 
 class TestSeq:
@@ -187,6 +339,86 @@ class TestRootCounting:
         p = seq_poly(seq_from_values([2, 0, 5], offset=1))
         assert p.evaluate(F(1)) == 7
         assert p.evaluate(F(2)) == 2 * 2 + 5 * 8
+
+
+DENOMS = st.sampled_from((1, 3, 7, 9))
+POSITIVE = st.builds(F, st.integers(1, 12), DENOMS)
+NONNEG = st.builds(F, st.integers(0, 12), DENOMS)
+ENTRY_SEQS = st.lists(NONNEG, min_size=1, max_size=10).map(lambda e: Seq(1, tuple(e)))
+
+
+def _poly_mul(a: list, b: list) -> list:
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def factored_seqs(draw, max_degree: int = 30):
+    """Nonnegative products of linear and quadratic factors, some repeated, with a
+    t^offset, internal zeros from c + a t^k, and denominators 1, 3, 7 and 9."""
+    p = [draw(POSITIVE)]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("linear", "linear", "quadratic", "gap")))
+        if kind == "linear":
+            factor = [draw(NONNEG), draw(POSITIVE)]
+        elif kind == "quadratic":
+            factor = [draw(POSITIVE), draw(NONNEG), draw(POSITIVE)]
+        else:
+            factor = [draw(POSITIVE)] + [F(0)] * draw(st.integers(1, 3)) + [draw(POSITIVE)]
+        for _ in range(draw(st.integers(1, 3))):
+            if len(p) + len(factor) - 2 > max_degree:
+                break
+            p = _poly_mul(p, factor)
+    offset = draw(st.integers(0, 3))
+    return Seq(offset, tuple(p) + (F(0),) * draw(st.integers(0, 1)))
+
+
+class TestA6Chain:
+    """a6 through the integer Sturm chain against the Fraction reference above."""
+
+    @given(factored_seqs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_factored(self, seq):
+        assert check_condition(seq, "a6").holds == reference_a6(seq)
+
+    @given(st.lists(NONNEG, min_size=1, max_size=12), st.integers(0, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_arbitrary_entries(self, entries, offset):
+        seq = Seq(offset, tuple(entries))
+        assert check_condition(seq, "a6").holds == reference_a6(seq)
+
+    # the examples have a degree gap before a negative leading coefficient: the
+    # chain keeps its signs only if that coefficient's power is of its absolute value
+    @given(st.one_of(factored_seqs(12), ENTRY_SEQS))
+    @example(seq_from_values([2, 0, 0, 0, 2, 7]))
+    @example(seq_from_values([5, 1, 0, 0, 7]))
+    @example(seq_from_values([5, 0, 0, 0, 3, 0, 0, 0, 0, 20]))
+    @settings(max_examples=200, deadline=None)
+    def test_chain_is_positive_multiple_of_classical(self, seq):
+        coeffs = list(seq_poly(seq).coeffs)
+        while coeffs and not coeffs[0]:
+            coeffs.pop(0)
+        p = UniPoly(coeffs)
+        expected = classical_chain(p) if p.degree >= 1 else []
+        chain = sturm_chain(seq)
+        assert len(chain) == len(expected)
+        for got, ref in zip(chain, expected):
+            assert all(isinstance(c, int) for c in got)
+            assert UniPoly(got).monic() == ref.monic() and got[-1] * ref.lead > 0
+
+    def test_repeated_and_complex_factors(self):
+        lin, quad = [F(2), F(1)], [F(1), F(1), F(1)]  # t + 2 and t^2 + t + 1
+        real = _poly_mul(_poly_mul(lin, lin), _poly_mul(lin, [F(1, 3), F(1)]))
+        assert check_condition(Seq(2, tuple(real)), "a6").holds
+        squared = _poly_mul(quad, quad)
+        assert not check_condition(Seq(0, tuple(_poly_mul(squared, lin))), "a6").holds
+        # 1 + t^3: one real root and two complex ones; zeros inside the support
+        assert not check_condition(seq_from_values([1, 0, 0, 1]), "a6").holds
+        assert check_condition(seq_from_values([0, 0, 5]), "a6").holds
+        assert check_condition(seq_from_values([0, 0]), "a6").holds
 
 
 class TestConvolution:
