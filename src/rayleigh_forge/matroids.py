@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .polynomials import GroundSet, SubsetPoly, det_exact
+from .polynomials import GroundSet, SubsetPoly, charpoly_exact
 from .prng import SplitMix64
 from .words import expand, popcount, term_value
 
@@ -345,24 +345,17 @@ def parallel_extend(matroid: Matroid, multiplicity: Mapping[str, int]) -> Matroi
 
 
 def enumerate_family(matroid: Matroid, kind: str) -> SetSystem:
-    """All independent / spanning sets or bases, by direct rank enumeration."""
-    m = matroid.ground.m
-    if m > ENUM_LIMIT:
-        raise ValueError(f"enumeration capped at {ENUM_LIMIT} elements")
+    """All independent / spanning sets or bases, read off the `rank_table`."""
+    table = rank_table(matroid)
     r = matroid.r
-    out = []
-    for w in matroid.ground.subsets():
-        rk = matroid.rank(w)
-        if kind == "independent":
-            ok = rk == popcount(w)
-        elif kind == "spanning":
-            ok = rk == r
-        elif kind == "bases":
-            ok = rk == r and rk == popcount(w)
-        else:
-            raise ValueError(f"unknown family kind {kind!r}")
-        if ok:
-            out.append(w)
+    if kind == "independent":
+        out = [w for w, rk in enumerate(table) if rk == popcount(w)]
+    elif kind == "spanning":
+        out = [w for w, rk in enumerate(table) if rk == r]
+    elif kind == "bases":
+        out = [w for w, rk in enumerate(table) if rk == r == popcount(w)]
+    else:
+        raise ValueError(f"unknown family kind {kind!r}")
     return SetSystem(matroid.ground, tuple(out))
 
 
@@ -489,12 +482,7 @@ def invariant_sequences(matroid: Matroid, fixed: Iterable[str] | None = None) ->
 
 
 def comb_frac(n: int, k: int) -> Fraction:
-    if k < 0 or k > n:
-        return Fraction(0)
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return Fraction(out)
+    return Fraction(comb(n, k) if 0 <= k <= n else 0)
 
 
 # --- spanning forests and the weighted Laplacian ------------------------------
@@ -556,57 +544,24 @@ def forest_weights(graph: Graph) -> tuple[SubsetPoly, ForestCharpolyRecord]:
 def weighted_laplacian_charpoly(graph: Graph, y: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
     """Coefficients of det(tI + D diag(y) D^T), exactly, low degree first.
 
-    D is a signed incidence matrix; the polynomial is found by evaluating the
-    determinant at n+1 rational points and interpolating.
+    D is a signed incidence matrix; a label missing from y raises a
+    `ValueError` that names it.
     """
     n = graph.n
     q = [[Fraction(0)] * n for _ in range(n)]
-    for u, v, lab in graph.edges:
-        w = Fraction(y[lab])
+    for (u, v, _), w in zip(graph.edges, map(Fraction, graph.ground().coordinates(y))):
         q[u][u] += w
         q[v][v] += w
         q[u][v] -= w
         q[v][u] -= w
-    xs = [Fraction(i) for i in range(n + 1)]
-    ys = []
-    for x in xs:
-        mat = [[q[i][j] + (x if i == j else 0) for j in range(n)] for i in range(n)]
-        ys.append(det_exact(mat))
-    return tuple(_interpolate(xs, ys))
-
-
-def _interpolate(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
-    """Lagrange interpolation; returns dense coefficients, low degree first."""
-    k = len(xs)
-    coeffs = [Fraction(0)] * k
-    for i in range(k):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(k):
-            if i == j:
-                continue
-            basis = _poly_mul_linear(basis, -xs[j])
-            denom *= xs[i] - xs[j]
-        scale = ys[i] / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += scale * c
-    return coeffs
-
-
-def _poly_mul_linear(coeffs: list[Fraction], constant: Fraction) -> list[Fraction]:
-    # multiply by (x + constant)
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for d, c in enumerate(coeffs):
-        out[d] += c * constant
-        out[d + 1] += c
-    return out
+    return charpoly_exact(q)
 
 
 def forest_identity_at(graph: Graph, y: Mapping[str, Fraction]) -> bool:
     """Check sum_S w(S) y^S t^(n-|S|) == det(tI + D diag(y) D^T) at rational y."""
+    vals = [Fraction(v) for v in graph.ground().coordinates(y)]
     poly, _ = forest_weights(graph)
     n = graph.n
-    vals = [Fraction(y[lab]) for _, _, lab in graph.edges]
     lhs = [Fraction(0)] * (n + 1)
     for w, c in poly.terms.items():
         lhs[n - popcount(w)] += term_value(c, vals, w)

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import format_rat
+from .scalars import clear_denominators, format_rat
 from .words import compress, expand, popcount, term_value
 
 MAX_GROUND = 30
@@ -383,8 +384,8 @@ def _scaled(terms: Mapping[int, object]) -> tuple[dict[int, int], int]:
     """Integer numerators c * L of rational terms, with L the lcm of their denominators."""
     if not all(isinstance(c, Fraction) for c in terms.values()):
         raise TypeError("pair products need rational coefficients")
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {w: c.numerator * (den // c.denominator) for w, c in terms.items()}, den
+    ints, den = clear_denominators(terms.values())
+    return dict(zip(terms, ints)), den
 
 
 def _pair_products(ground: GroundSet, den: int, *pairs: tuple[int, dict, dict]) -> QuadPoly:
@@ -679,44 +680,61 @@ def monomial_symmetric_assemble(
 
 
 def det_exact(matrix: list[list[Fraction]]) -> Fraction:
-    """Determinant by exact Gaussian elimination over the rationals."""
+    """Determinant by fraction-free Bareiss elimination on the cleared ints.
+
+    The entries are scaled to ints by the lcm L of their denominators.  Each
+    Bareiss step divides exactly by the previous pivot, a row swap on a zero
+    pivot flips the sign, and the integer determinant is divided by L^n once.
+    """
     n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in a):
+    a, den = _cleared_rows(matrix)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        top, pivot = a[k], a[k][k]
+        for row in a[k + 1 :]:
+            head = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - head * top[j]) // prev
+        prev = pivot
+    return Fraction(sign * a[-1][-1] if n else 1, den**n)
+
+
+def charpoly_exact(matrix: list[list[Fraction]]) -> tuple[Fraction, ...]:
+    """Coefficients of det(tI + A), low degree first, by Faddeev-LeVerrier on ints.
+
+    With B = L A the cleared integer matrix, det(tI + A) = sum c_k L^(k-n) t^k
+    where det(sI + B) = sum c_k s^k.  The recurrence runs on M = -B:
+    M_k = M M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(M M_k) / k.  An integer
+    matrix has an integer characteristic polynomial, so each division by k
+    is exact.
+    """
+    n = len(matrix)
+    b, den = _cleared_rows(matrix)
+    cols = [[-x for x in col] for col in zip(*b)]  # the columns of M
+    c = [0] * n + [1]
+    mk = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        # M M_(k-1) = M_(k-1) M, since M_(k-1) is a polynomial in M
+        mk = [[sum(map(mul, row, col)) for col in cols] for row in mk]
+        for i in range(n):
+            mk[i][i] += c[n - k + 1]
+        c[n - k] = -sum(sum(map(mul, mk[i], cols[i])) for i in range(n)) // k
+    return tuple(Fraction(ck, den ** (n - k)) for k, ck in enumerate(c))
+
+
+def _cleared_rows(matrix: list[list[Fraction]]) -> tuple[list[list[int]], int]:
+    """A square matrix of exact rationals as int rows times 1/L, L the lcm of denominators."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                factor = a[r][col] * inv
-                for c2 in range(col, n):
-                    a[r][c2] -= factor * a[col][c2]
-    return det
-
-
-def invert_exact(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    flat, den = clear_denominators(Fraction(x) for row in matrix for x in row)
+    return [flat[i * n : (i + 1) * n] for i in range(n)], den
 
 
 def mmatrix_weights(matrix: list[list[Fraction]], labels: Iterable[str] | None = None) -> SubsetPoly:
@@ -737,9 +755,6 @@ def mmatrix_weights(matrix: list[list[Fraction]], labels: Iterable[str] | None =
             if a[i][j] != a[j][i]:
                 raise ValueError("matrix is not symmetric")
 
-    def offdiag_nonpositive(mat) -> bool:
-        return all(mat[i][j] <= 0 for i in range(n) for j in range(n) if i != j)
-
     ground = GroundSet(labels if labels is not None else (str(i + 1) for i in range(n)))
     if ground.m != n:
         raise ValueError("label count does not match the matrix")
@@ -747,11 +762,17 @@ def mmatrix_weights(matrix: list[list[Fraction]], labels: Iterable[str] | None =
     terms: dict[int, Fraction] = {}
     for w in ground.subsets():
         rows = [i for i in range(n) if w >> i & 1]
-        minor = det_exact([[a[i][j] for j in rows] for i in rows]) if rows else Fraction(1)
+        minor = det_exact([[a[i][j] for j in rows] for i in rows])
         if minor <= 0:
             raise ValueError(f"principal minor on {ground.labels_of(w)} is not positive")
         terms[w] = minor
 
-    if not offdiag_nonpositive(a) and not offdiag_nonpositive(invert_exact(a)):
+    # A is symmetric and det A > 0 (the full principal minor), so A^-1 is
+    # symmetric and (A^-1)_ij has the sign of (-1)^(i+j) det(A without row j and column i)
+    pairs = [(i, j) for i in range(n) for j in range(i)]
+    if not all(a[i][j] <= 0 for i, j in pairs) and not all(
+        (-1) ** (i + j) * det_exact([row[:i] + row[i + 1 :] for r, row in enumerate(a) if r != j]) <= 0
+        for i, j in pairs
+    ):
         raise ValueError("neither the matrix nor its inverse has nonpositive off-diagonal entries")
     return SubsetPoly(ground, terms)

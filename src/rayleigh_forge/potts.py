@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Mapping
 
 from .matroids import Matroid, enumerate_family
 from .polynomials import GroundSet, SubsetPoly, _slice_bits, multiply_disjoint
 from .prng import derive, sample_point, unit_fraction
-from .scalars import ONE_MINUS_Q, LaurentQ
+from .scalars import ONE_MINUS_Q, LaurentQ, clear_denominators
 from .words import compress, expand, popcount
 
 MODEL_KINDS = ("bases", "independent", "spanning", "potts")
@@ -317,6 +316,8 @@ def slice_inequality_scan(
     denominator a^r * D^m, and q0 * del < con, con <= del and con == del
     are decided as a * del < b * con, con <= del and con == del.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, not {samples}")
     ground = matroid.ground
     m = ground.m
     if m > 20:
@@ -335,9 +336,7 @@ def slice_inequality_scan(
     for _ in range(samples):
         q0 = unit_fraction(rng)
         point = sample_point(rng, labels)
-        yval = [point[lab] for lab in labels]
-        den = lcm(*(y.denominator for y in yval))
-        num = [y.numerator * (den // y.denominator) for y in yval]
+        num, den = clear_denominators(point[lab] for lab in labels)
         dpow = [den**k for k in range(m + 1)]
         mono = [1] * (full + 1)
         for w in range(1, full + 1):

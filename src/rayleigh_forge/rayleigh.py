@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import lcm
 from typing import Callable, Iterable, Mapping
 
 from .matroids import Matroid
@@ -43,7 +42,7 @@ from .polynomials import (
     triple_pairs,
 )
 from .prng import DEFAULT_SEED, DENOMINATOR_BITS, SplitMix64, derive, log_uniform_fraction, sample_point
-from .scalars import format_rat
+from .scalars import clear_denominators, format_rat
 from .words import compress, term_value
 
 
@@ -546,8 +545,8 @@ def negative_association_check(
     cells = [[Fraction(0)] * n2 for _ in range(n1)]
     for w, c in z.terms.items():
         cells[compress(w, pos1)][compress(w, pos2)] += term_value(c, vals, w)
-    scale = lcm(*(cell.denominator for row in cells for cell in row))
-    cells = [[cell.numerator * (scale // cell.denominator) for cell in row] for row in cells]
+    flat, _ = clear_denominators(cell for row in cells for cell in row)
+    cells = [flat[i * n2 : (i + 1) * n2] for i in range(n1)]
     row_sum = [sum(row) for row in cells]
     col_sum = [sum(col) for col in zip(*cells)]
     total = sum(row_sum)
@@ -597,6 +596,8 @@ def triple_condition_check(
 ) -> TripleReport:
     if not z.is_rational():
         raise TypeError("triple check needs rational coefficients")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, not {samples}")
     th = theta(z, e, f, g)
     diff_del = rayleigh_diff(z.delete(g), e, f)
     diff_con = rayleigh_diff(z.contract(g), e, f)

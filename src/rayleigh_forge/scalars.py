@@ -14,6 +14,15 @@ the arithmetic obvious.  The zero value is the empty span.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Iterable
+
+
+def clear_denominators(values: Iterable) -> tuple[list[int], int]:
+    """Integers v * L for exact rationals v, with L > 0 the lcm of their denominators."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def parse_rat(text: str) -> Fraction:

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from typing import Iterable, Sequence
 
 from .matroids import Matroid, comb_frac, invariant_sequences
+from .scalars import clear_denominators
 
 CONDITIONS = ("a0", "a1", "a2", "a3", "a4", "a5", "a6")
 
@@ -177,8 +178,7 @@ def sturm_chain(seq: Seq) -> list[list[int]]:
     element it is a positive multiple of the classical chain p, p', -rem, ...,
     and its last element is gcd(p, p') up to a scalar.
     """
-    den = lcm(*(a.denominator for a in seq.entries))
-    p = [a.numerator * (den // a.denominator) for a in seq.entries]
+    p, _ = clear_denominators(seq.entries)
     while p and not p[-1]:
         p.pop()
     low = 0

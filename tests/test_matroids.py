@@ -275,6 +275,8 @@ class TestRankTable:
         assert (list(inv.I), list(inv.W), list(inv.chi)) == (I, W, chi)
         assert (list(inv.c) if inv.c is not None else None) == c
         assert inv.loopless == all(not matroid.is_loop(lab) for lab in matroid.ground.labels)
+        bases = [w for w in matroid.ground.subsets() if matroid.rank(w) == matroid.r == popcount(w)]
+        assert list(enumerate_family(matroid, "bases").members) == bases
 
     @given(multigraphs())
     @settings(max_examples=80, deadline=None)
@@ -333,6 +335,14 @@ class TestForestWeights:
         assert z.coeff(3) == 3
         assert record.charpoly == (F(0), F(9), F(6), F(1))
         assert record.size_sums[0] == 1
+
+    def test_missing_label_named(self):
+        tri = cycle_graph(3)
+        y = {"1": F(2), "2": F(3)}
+        with pytest.raises(ValueError, match="'3'"):
+            weighted_laplacian_charpoly(tri, y)
+        with pytest.raises(ValueError, match="'3'"):
+            forest_identity_at(tri, y)
 
     def test_identity_at_random_points(self):
         rng = SplitMix64(5)

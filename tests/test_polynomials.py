@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rayleigh_forge.matroids import Graph, weighted_laplacian_charpoly
 from rayleigh_forge.polynomials import (
     GroundSet,
     QuadPoly,
     SubsetPoly,
     SymSeq,
     canonical_ground,
+    charpoly_exact,
     det_exact,
     elementary_values,
     from_weights,
-    invert_exact,
     mmatrix_weights,
     monomial_symmetric_assemble,
     monomial_symmetric_expand,
@@ -284,6 +285,134 @@ class TestSymmetric:
             monomial_symmetric_expand(p)
 
 
+# --- Fraction references for the integer determinant and charpoly ----------------
+
+
+def fraction_det(matrix):
+    """Determinant by Gaussian elimination over the rationals."""
+    n = len(matrix)
+    a = [[F(x) for x in row] for row in matrix]
+    det = F(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return F(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col]:
+                factor = a[r][col] * inv
+                for c2 in range(col, n):
+                    a[r][c2] -= factor * a[col][c2]
+    return det
+
+
+def invert_exact(matrix):
+    """Gauss-Jordan inverse over the rationals; ValueError on a singular matrix."""
+    n = len(matrix)
+    a = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def interpolation_charpoly(matrix):
+    """det(tI + A) by `fraction_det` at t = 0..n and Lagrange interpolation, low degree first."""
+    n = len(matrix)
+    xs = [F(x) for x in range(n + 1)]
+    ys = [
+        fraction_det([[a + (x if i == j else 0) for j, a in enumerate(row)] for i, row in enumerate(matrix)])
+        for x in xs
+    ]
+    coeffs = [F(0)] * (n + 1)
+    for i, xi in enumerate(xs):
+        basis = [F(1)]  # prod over j != i of (t - x_j), low degree first
+        denom = F(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = [F(0)] + basis
+                for d in range(len(basis) - 1):
+                    basis[d] -= xj * basis[d + 1]
+                denom *= xi - xj
+        for d, c in enumerate(basis):
+            coeffs[d] += ys[i] / denom * c
+    return tuple(coeffs)
+
+
+def mmatrix_reference_accepts(a):
+    """mmatrix_weights' acceptance rule on Fraction minors and an explicit inverse."""
+    n = len(a)
+    for w in range(1, 1 << n):
+        rows = [i for i in range(n) if w >> i & 1]
+        if fraction_det([[a[i][j] for j in rows] for i in rows]) <= 0:
+            return False
+
+    def offdiag_nonpositive(mat):
+        return all(mat[i][j] <= 0 for i in range(n) for j in range(n) if i != j)
+
+    return offdiag_nonpositive(a) or offdiag_nonpositive(invert_exact(a))
+
+
+DENOMINATORS = (1, 3, 7, 9, 2**20)
+
+
+@st.composite
+def rational_matrices(draw, max_n=7):
+    """Square matrices with signed entries, denominators among 1, 3, 7, 9 and 2^20,
+    and zeros; a zero diagonal, drawn half the time, forces row swaps."""
+    n = draw(st.integers(0, max_n))
+    entry = st.builds(F, st.sampled_from((0, 0, 1, -1, 2, -3, 5, -7, 9)), st.sampled_from(DENOMINATORS))
+    a = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            a[i][i] = F(0)
+    return a
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric n <= 5 matrices: random ones, with a dominant diagonal or not, and
+    inverses of random M-matrices, which have positive off-diagonal entries."""
+    n = draw(st.integers(1, 5))
+    den = draw(st.sampled_from(DENOMINATORS))
+    kind = draw(st.sampled_from(("random", "dominant", "inverse")))
+    high = 0 if kind == "inverse" else 4
+    a = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            a[i][j] = a[j][i] = F(draw(st.integers(-4, high)), den)
+    for i in range(n):
+        if kind == "random":
+            a[i][i] = F(draw(st.integers(-2, 9)), den)
+        else:
+            a[i][i] = sum(abs(x) for x in a[i]) + F(draw(st.integers(1, 6)), den)
+    return invert_exact(a) if kind == "inverse" else a
+
+
+@st.composite
+def weighted_multigraphs(draw):
+    """A multigraph on n <= 8 vertices with parallel edges, and rational edge weights."""
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14))
+    edges = [(u, v) for u, v in pairs if u != v]
+    edges += edges[: draw(st.integers(0, 3))]
+    graph = Graph(n, tuple((u, v, f"e{i}") for i, (u, v) in enumerate(edges)))
+    weight = st.builds(F, st.integers(1, 9), st.sampled_from(DENOMINATORS))
+    return graph, {lab: draw(weight) for _, _, lab in graph.edges}
+
+
 class TestExactLinearAlgebra:
     def test_det_2x2_and_3x3(self):
         assert det_exact([[F(2), F(1)], [F(1), F(2)]]) == 3
@@ -334,6 +463,64 @@ class TestExactLinearAlgebra:
         eye = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
         with pytest.raises(ValueError):
             mmatrix_weights(eye)
+
+    def test_det_swaps_and_scales(self):
+        assert det_exact([]) == 1
+        assert det_exact([[0, 1], [1, 0]]) == -1
+        assert det_exact([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+        assert det_exact([[F(1, 3), 0], [0, F(1, 7)]]) == F(1, 21)
+        assert det_exact([[1, 2], [2, 4]]) == 0
+        with pytest.raises(ValueError):
+            det_exact([[1, 2]])
+
+    def test_charpoly_small(self):
+        assert charpoly_exact([]) == (1,)
+        assert charpoly_exact([[F(1, 2), 0], [0, F(1, 3)]]) == (F(1, 6), F(5, 6), 1)
+        # det(tI + A) for the 2-cycle: t^2 - 1
+        assert charpoly_exact([[0, 1], [1, 0]]) == (-1, 0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_det_matches_fraction_elimination(a):
+    assert det_exact(a) == fraction_det(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_charpoly_matches_interpolation(a):
+    coeffs = charpoly_exact(a)
+    assert all(isinstance(c, Fraction) for c in coeffs)
+    assert coeffs == interpolation_charpoly(a)
+    assert coeffs[0] == det_exact(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_multigraphs())
+def test_laplacian_charpoly_matches_interpolation(graph_and_weights):
+    graph, y = graph_and_weights
+    n = graph.n
+    lap = [[F(0)] * n for _ in range(n)]
+    for u, v, lab in graph.edges:
+        lap[u][u] += y[lab]
+        lap[v][v] += y[lab]
+        lap[u][v] -= y[lab]
+        lap[v][u] -= y[lab]
+    assert weighted_laplacian_charpoly(graph, y) == interpolation_charpoly(lap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices())
+def test_mmatrix_weights_accepts_as_inverse_reference(a):
+    if not mmatrix_reference_accepts(a):
+        with pytest.raises(ValueError):
+            mmatrix_weights(a)
+        return
+    z = mmatrix_weights(a)
+    n = len(a)
+    for w in z.ground.subsets():
+        rows = [i for i in range(n) if w >> i & 1]
+        assert z.coeff(w) == fraction_det([[a[i][j] for j in rows] for i in rows])
 
 
 @settings(max_examples=60, deadline=None)

@@ -128,6 +128,11 @@ class TestSlices:
             assert len(scans) == m.ground.m
             assert all(s.consistent for s in scans)
 
+    def test_scan_zero_samples_refused(self):
+        # every element would read consistent over zero points
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            slice_inequality_scan(uniform_matroid(4, 2), samples=0)
+
 
 def _triangle(prefix: str):
     return graphic_matroid(

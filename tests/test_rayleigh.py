@@ -276,6 +276,12 @@ class TestTriple:
         report = triple_condition_check(z, "1", "2", "3", samples=5, seed=1)
         assert report.decomposition_ok and report.holds
 
+    def test_zero_samples_refused(self):
+        # holds over zero points would be vacuous
+        z = model_poly(graphic_matroid(complete_graph(4)), Model("independent")).poly
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            triple_condition_check(z, "1", "6", "2", samples=0)
+
 
 class TestProbe:
     def test_deterministic(self):

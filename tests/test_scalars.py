@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rayleigh_forge.scalars import ONE_MINUS_Q, LaurentQ, format_rat, parse_rat
+from rayleigh_forge.scalars import ONE_MINUS_Q, LaurentQ, clear_denominators, format_rat, parse_rat
 
 rationals = st.fractions(max_denominator=1000)
 
@@ -15,6 +15,18 @@ def laurents():
         st.integers(min_value=-5, max_value=5),
         st.lists(rationals, min_size=0, max_size=6),
     )
+
+
+class TestClearDenominators:
+    def test_ints_over_lcm(self):
+        assert clear_denominators([Fraction(1, 6), Fraction(-3, 4), 2]) == ([2, -9, 24], 12)
+        assert clear_denominators([]) == ([], 1)
+
+    @given(st.lists(rationals, max_size=8))
+    def test_roundtrip(self, values):
+        ints, den = clear_denominators(values)
+        assert den > 0 and all(isinstance(n, int) for n in ints)
+        assert [Fraction(n, den) for n in ints] == values
 
 
 class TestRatFormat:
