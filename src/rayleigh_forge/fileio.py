@@ -121,7 +121,10 @@ def parse_graph_file(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise InputFormatError(f"bad vertex index in {line!r}") from None
-        edges.append((u, v, parts[2]))
+        labels = _parse_labels(parts[2], "edge line")
+        if len(labels) != 1:
+            raise InputFormatError(f"expected one edge label, got {parts[2]!r}")
+        edges.append((u, v, labels[0]))
     try:
         return Graph(n, tuple(edges))
     except ValueError as exc:

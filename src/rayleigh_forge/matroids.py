@@ -184,12 +184,6 @@ class Matroid:
     def is_coloop(self, label: str) -> bool:
         return self.rank(self.ground.full ^ self.ground.bit(label)) == self.r - 1
 
-    def in_closure(self, word: int, label: str) -> bool:
-        bit = self.ground.bit(label)
-        if word & bit:
-            return True
-        return self.rank(word | bit) == self.rank(word)
-
     # minors ------------------------------------------------------------------
 
     def delete(self, label: str) -> "Matroid":
@@ -235,9 +229,14 @@ def uniform_matroid(m: int, r: int, labels: Iterable[str] | None = None) -> Matr
 
 
 def graphic_matroid(graph: Graph) -> Matroid:
+    """The cycle matroid.  Only the vertices that edges touch are numbered, so
+    isolated vertices, which do not change the matroid, cost nothing."""
     ground = graph.ground()
-    edges = graph.edges
-    n = graph.n
+    index: dict[int, int] = {}
+    ends = tuple(
+        (index.setdefault(u, len(index)), index.setdefault(v, len(index))) for u, v, _ in graph.edges
+    )
+    n = len(index)
 
     def rank_word(w: int) -> int:
         parent = list(range(n))
@@ -246,14 +245,14 @@ def graphic_matroid(graph: Graph) -> Matroid:
         ww = w
         while ww:
             if ww & 1:
-                u, v, _ = edges[i]
+                u, v = ends[i]
                 if _union(parent, u, v):
                     rank += 1
             ww >>= 1
             i += 1
         return rank
 
-    return Matroid(ground, rank_word, ("graphic", n, tuple(e[:2] for e in edges)), check=False)
+    return Matroid(ground, rank_word, ("graphic", n, ends), check=False)
 
 
 def matroid_from_bases(system: SetSystem) -> Matroid:

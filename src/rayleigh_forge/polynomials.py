@@ -317,23 +317,6 @@ class QuadPoly:
             out[(sup | bit, sq | (bit if power == 2 else 0))] = c
         return QuadPoly(self.ground, out)
 
-    def contract(self, label: str) -> "QuadPoly":
-        """Coefficient-of-y slice; rejects terms where the variable is squared."""
-        bit = self.ground.bit(label)
-        sub = self.ground.without(label)
-        keep = tuple(map(self.ground.index, sub.labels))
-        out = {}
-        for (sup, sq), c in self.terms.items():
-            if sq & bit:
-                raise ValueError(
-                    f"variable {label!r} appears squared; contraction here would "
-                    "be a formal derivative, not a slice"
-                )
-            if not sup & bit:
-                continue
-            out[(compress(sup ^ bit, keep), compress(sq, keep))] = c
-        return QuadPoly(sub, out)
-
     def min_coefficient(self) -> Fraction:
         if not self.is_rational():
             raise TypeError("sign queries need rational coefficients")

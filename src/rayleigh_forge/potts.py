@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
-from .matroids import Matroid, enumerate_family
+from .matroids import Matroid, enumerate_family, rank_table
 from .polynomials import GroundSet, SubsetPoly, _slice_bits, multiply_disjoint
 from .prng import derive, sample_point, unit_fraction
 from .scalars import ONE_MINUS_Q, LaurentQ, clear_denominators
@@ -63,24 +62,21 @@ class ModelPoly:
 
 
 def potts_poly(matroid: Matroid, q0: Fraction | None = None) -> ModelPoly:
-    """Potts partition function: every subset weighted q^(-rank(S))."""
+    """Potts partition function: every subset weighted q^(-rank(S)).
+
+    The r + 1 weights are built once and indexed by the `rank_table`.
+    """
     ground = matroid.ground
     if ground.m > 20:
         raise ValueError("potts_poly enumerates 2^m terms; m capped at 20")
-    terms: dict[int, object] = {}
     if q0 is None:
-        for w in ground.subsets():
-            terms[w] = LaurentQ.q_power(-matroid.rank(w))
+        weights = [LaurentQ.q_power(-k) for k in range(matroid.r + 1)]
     else:
         q0 = Fraction(q0)
         if q0 <= 0:
             raise ValueError("q0 must be positive")
-        powers: dict[int, Fraction] = {}
-        for w in ground.subsets():
-            rk = matroid.rank(w)
-            if rk not in powers:
-                powers[rk] = q0 ** (-rk)
-            terms[w] = powers[rk]
+        weights = [q0**-k for k in range(matroid.r + 1)]
+    terms = {w: weights[rk] for w, rk in enumerate(rank_table(matroid))}
     return ModelPoly(SubsetPoly(ground, terms), Model("potts", q0), matroid)
 
 
@@ -177,20 +173,21 @@ class SliceReport:
     deleted: ModelPoly
     contracted: ModelPoly
     identities: dict
-    sampled: dict
 
 
-def potts_slices(mp: ModelPoly, label: str, samples: int = 0, seed: int = 0xD1CE) -> SliceReport:
-    """Slice a Potts polynomial at one element and verify the slice algebra.
+def potts_slices(mp: ModelPoly, label: str) -> SliceReport:
+    """Slice a Potts polynomial at one non-loop element and check the slice algebra.
 
-    Symbolic checks (loop-free element, symbolic q):
+    Both slices must equal the Potts polynomials of the deletion and
+    contraction minors.  With symbolic q three more identities are checked,
+    the closure split read off the source matroid's `rank_table`:
       reconstruction   Z = Z^g + q^-1 y_g Z_g
       spanned_excluded Z^g - q^-1 Z_g  =  (1 - q^-1) * sum over S with g
                        outside the closure of S
       spanned_sum      (Z^g - Z_g) / (1 - q)  =  sum over S with g inside
                        the closure of S
-    Sampled check (requires the source matroid and 0 < q < 1, y > 0):
-      q Z^g < Z_g <= Z^g, with equality exactly for coloops.
+    The sampled inequalities q Z^g < Z_g <= Z^g (equality exactly for
+    coloops) are `slice_inequality_scan`'s job.
     """
     if mp.model.kind != "potts":
         raise ValueError("slice report is for Potts polynomials")
@@ -229,15 +226,17 @@ def potts_slices(mp: ModelPoly, label: str, samples: int = 0, seed: int = 0xD1CE
                 break
         identities["reconstruction"] = recon
 
+        table = rank_table(matroid)
+        weights = [LaurentQ.q_power(-k) for k in range(matroid.r + 1)]
         spanned: dict[int, LaurentQ] = {}
         unspanned: dict[int, LaurentQ] = {}
         for w in sub.subsets():
             orig = expand(w, pos)
-            weight = LaurentQ.q_power(-matroid.rank(orig))
-            if matroid.in_closure(orig, label):
-                spanned[w] = weight
+            rk = table[orig]
+            if table[orig | bit] == rk:
+                spanned[w] = weights[rk]
             else:
-                unspanned[w] = weight
+                unspanned[w] = weights[rk]
 
         one_minus_qinv = LaurentQ(-1, (Fraction(-1), Fraction(1)))  # 1 - q^-1
         lhs_b = del_poly - con_poly.scale(LaurentQ.q_power(-1))
@@ -250,35 +249,7 @@ def potts_slices(mp: ModelPoly, label: str, samples: int = 0, seed: int = 0xD1CE
         )
         identities["spanned_sum"] = quot == SubsetPoly(sub, spanned)
 
-    sampled: dict = {}
-    if samples > 0:
-        if not mp.model.symbolic and not 0 < mp.model.q0 < 1:
-            raise ValueError("sampled slice inequalities need 0 < q < 1")
-        rng = derive(seed, 17)
-        strict_ok = weak_ok = True
-        equality_seen = False
-        coloop = matroid.is_coloop(label)
-        sub = mp.poly.ground.without(label)
-        for _ in range(samples):
-            q0 = unit_fraction(rng) if mp.model.symbolic else mp.model.q0
-            pt = sample_point(rng, sub.labels)
-            dv = _eval_at_q(del_poly, q0, pt)
-            cv = _eval_at_q(con_poly, q0, pt)
-            if not q0 * dv < cv:
-                strict_ok = False
-            if not cv <= dv:
-                weak_ok = False
-            if cv == dv:
-                equality_seen = True
-        sampled = {
-            "points": samples,
-            "strict_lower_ok": strict_ok,
-            "weak_upper_ok": weak_ok,
-            "equality_seen": equality_seen,
-            "is_coloop": coloop,
-            "equality_matches_coloop": equality_seen == coloop,
-        }
-    return SliceReport(deleted=deleted, contracted=contracted, identities=identities, sampled=sampled)
+    return SliceReport(deleted=deleted, contracted=contracted, identities=identities)
 
 
 @dataclass(frozen=True)
@@ -327,7 +298,7 @@ def slice_inequality_scan(
     r = matroid.r
     loop = [matroid.is_loop(lab) for lab in labels]
     coloop = [matroid.is_coloop(lab) for lab in labels]
-    rank = [matroid.rank(w) for w in range(full + 1)]
+    rank = rank_table(matroid)
     rng = derive(seed, 29)
 
     strict_ok = [True] * m
@@ -379,11 +350,6 @@ def slice_inequality_scan(
         )
         for i in range(m)
     ]
-
-
-def _eval_at_q(poly: SubsetPoly, q0: Fraction, point: Mapping[str, Fraction]) -> Fraction:
-    terms = {w: c.evaluate(q0) if isinstance(c, LaurentQ) else c for w, c in poly.terms.items()}
-    return SubsetPoly(poly.ground, terms).evaluate(point)
 
 
 # --- two-sum composition --------------------------------------------------------
@@ -469,7 +435,9 @@ def scaling_limit_support(matroid: Matroid, alpha: Fraction) -> frozenset[int]:
 
     The exponent of q on the term of S is (1-alpha)(r - rank S) + alpha(|S| - rank S);
     the q -> 0 limit keeps exactly the exponent-zero terms.  alpha = 0, 1/2, 1
-    recover the spanning-set, basis and independent-set indicators.
+    recover the spanning-set, basis and independent-set indicators.  The
+    ranks come from the `rank_table`, which refuses more than ENUM_LIMIT
+    elements.
     """
     alpha = Fraction(alpha)
     if not (0 <= alpha <= 1):
@@ -477,8 +445,7 @@ def scaling_limit_support(matroid: Matroid, alpha: Fraction) -> frozenset[int]:
     r = matroid.r
     best: Fraction | None = None
     arg: list[int] = []
-    for w in matroid.ground.subsets():
-        rk = matroid.rank(w)
+    for w, rk in enumerate(rank_table(matroid)):
         expo = (1 - alpha) * (r - rk) + alpha * (popcount(w) - rk)
         if best is None or expo < best:
             best = expo

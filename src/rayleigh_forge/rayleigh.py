@@ -12,11 +12,11 @@ Refutation is a concrete positive rational point where the difference is
 negative.  Sampling looks for one on Python ints: Z is scaled by the lcm of
 its denominators, the dyadic point by 2^20, and `pair_value` sums the four
 integer slices there, so only the sign of one int is read per point.
-Before `check_pair` returns a Refuted verdict it re-evaluates the witness
-in `Fraction`s by two routes, `scalar_pair_diff` (the same slices, another
-evaluator) and `covariance` (the measure summed over the whole of Z, no
-slicing), and all three values must agree exactly.  Sampling that finds no
-negative point is only ever Inconclusive.
+Before `check_pair` or `exchangeable_check` returns a refuting point it
+re-evaluates the point in `Fraction`s by two routes, `scalar_pair_diff` (the
+same slices, another evaluator) and `covariance` (the measure summed over
+the whole of Z, no slicing), and all three values must agree exactly.
+Sampling that finds no negative point is only ever Inconclusive.
 """
 
 from __future__ import annotations
@@ -211,10 +211,8 @@ def sliced_pair_diff(z: SubsetPoly, e: str, f: str) -> Callable[[Mapping[str, Fr
 def check_pair(z: SubsetPoly, e: str, f: str, strategy: Strategy) -> RayleighVerdict:
     """One pair, one strategy.  Sign decisions need rational coefficients.
 
-    A Refuted verdict's witness is re-evaluated through `scalar_pair_diff`,
-    which does not use the point evaluator, and through the measure that
-    `covariance` sums, which does not use the slices; any disagreement
-    raises ArithmeticError instead of returning the verdict.
+    A Refuted verdict's witness passes `_recheck_witness` before it is
+    returned.
     """
     if not z.is_rational():
         raise TypeError("pair checks need rational coefficients; evaluate q first")
@@ -223,18 +221,28 @@ def check_pair(z: SubsetPoly, e: str, f: str, strategy: Strategy) -> RayleighVer
     else:
         verdict = _judge(rayleigh_diff(z, e, f), (e, f), strategy)
     if verdict.refuted:
-        sliced = scalar_pair_diff(z, e, f, verdict.witness)
-        # Cov = -y_e y_f D / Z(y)^2 for any positive y_e, y_f; at y_e = y_f = 1,
-        # D = -Z^2 Cov = p_e p_f - p_ef Z
-        total, p_e, p_f, p_ef = _masses(z, e, f, {**verdict.witness, e: Fraction(1), f: Fraction(1)})
-        measured = p_e * p_f - p_ef * total
-        if not sliced == measured == verdict.value or sliced >= 0:
-            raise ArithmeticError(
-                f"witness for pair ({e},{f}) re-evaluates to {format_rat(sliced)} through slices "
-                f"and to {format_rat(measured)} through the covariance, "
-                f"not to the sampled {format_rat(verdict.value)}"
-            )
+        _recheck_witness(z, e, f, verdict.witness, verdict.value)
     return verdict
+
+
+def _recheck_witness(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction], value: Fraction) -> None:
+    """Re-evaluate a refuting point in `Fraction`s by two more routes.
+
+    `scalar_pair_diff` does not use the point evaluator, and the measure that
+    `covariance` sums does not use the slices; unless both read the negative
+    `value`, raise ArithmeticError.
+    """
+    sliced = scalar_pair_diff(z, e, f, point)
+    # Cov = -y_e y_f D / Z(y)^2 for any positive y_e, y_f; at y_e = y_f = 1,
+    # D = -Z^2 Cov = p_e p_f - p_ef Z
+    total, p_e, p_f, p_ef = _masses(z, e, f, {**point, e: Fraction(1), f: Fraction(1)})
+    measured = p_e * p_f - p_ef * total
+    if not sliced == measured == value or sliced >= 0:
+        raise ArithmeticError(
+            f"witness for pair ({e},{f}) re-evaluates to {format_rat(sliced)} through slices "
+            f"and to {format_rat(measured)} through the covariance, "
+            f"not to the sampled {format_rat(value)}"
+        )
 
 
 def _judge(diff: QuadPoly, pair: tuple[str, str], strategy: Strategy) -> RayleighVerdict:
@@ -291,7 +299,7 @@ class PairSweep:
         return None
 
 
-def check_all(z: SubsetPoly, strategy: Strategy, budget: int | None = None) -> PairSweep:
+def check_all(z: SubsetPoly, strategy: Strategy) -> PairSweep:
     """Every unordered pair, in label order.  Sampling gives pair number idx
     its own stream derive(seed, idx), so a pair's verdict is the one
     check_pair returns for that pair alone."""
@@ -301,8 +309,7 @@ def check_all(z: SubsetPoly, strategy: Strategy, budget: int | None = None) -> P
     for idx, (e, f) in enumerate(pairs):
         strat = strategy
         if isinstance(strategy, SampleStrategy):
-            n = budget if budget is not None else strategy.samples
-            strat = SampleStrategy(n, derive(strategy.seed, idx).next_u64())
+            strat = SampleStrategy(strategy.samples, derive(strategy.seed, idx).next_u64())
         verdicts[(e, f)] = check_pair(z, e, f, strat)
     if any(v.refuted for v in verdicts.values()):
         summary = "refuted"
@@ -371,7 +378,9 @@ def _exchangeable_witness(seq: SymSeq, k: int):
             point[lab] = 1 / t if i < k - 1 else t
         num, scale = pair_value(sub.coordinates(point), step, den, *pairs)
         if num < 0:
-            return (e, f), point, Fraction(num, scale)
+            value = Fraction(num, scale)
+            _recheck_witness(z, e, f, point, value)
+            return (e, f), point, value
     return None
 
 

@@ -345,6 +345,13 @@ class TestUsageErrors:
     def test_no_args(self, capsys):
         assert run([]) == 3
 
+    def test_ambiguous_edge_labels(self, tmp_path, capsys):
+        # `a:b` and `c,d` would make the pair key `a:b,c,d` ambiguous
+        bad = tmp_path / "bad.graph"
+        bad.write_text("graph 3\n0 1 a:b\n1 2 c,d\n")
+        assert run(["rayleigh", "check", str(bad)]) == 3
+        assert "label" in capsys.readouterr().err
+
     def test_corrupted_weight_file(self, files, tmp_path):
         bad = tmp_path / "bad.weights"
         bad.write_text("elements: a\na : 1.5\n")

@@ -105,6 +105,8 @@ class TestGraphFiles:
             "graph 2\n0 a e",  # bad vertex
             "graph 2\n0 0 e",  # self-loop rejected by Graph
             "graph 2\n0 2 e",  # vertex out of range
+            "graph 2\n0 1 a:b",  # illegal character in a label
+            "graph 2\n0 1 c,d",  # two labels on one edge
         ],
     )
     def test_rejects(self, bad):

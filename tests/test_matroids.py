@@ -88,6 +88,17 @@ class TestGraphic:
         m = graphic_matroid(path_graph(3))
         assert m.is_coloop("1") and m.is_coloop("2")
 
+    def test_only_touched_vertices_are_numbered(self):
+        # isolated vertices do not change the matroid, and the oracle and the
+        # rank table must not pay for them
+        g = Graph(10**6, ((0, 1, "a"), (1, 2, "b"), (999_999, 5, "c"), (2, 0, "d")))
+        m = graphic_matroid(g)
+        assert m.provenance[1] == 5
+        assert m.r == 3
+        assert list(rank_table(m)) == [m.rank(w) for w in m.ground.subsets()]
+        small = graphic_matroid(Graph(6, ((0, 1, "a"), (1, 2, "b"), (3, 5, "c"), (2, 0, "d"))))
+        assert list(rank_table(small)) == list(rank_table(m))
+
 
 class TestBasesConstructor:
     def test_uniform_roundtrip(self):

@@ -169,9 +169,6 @@ class TestQuadPoly:
         p = QuadPoly(g, {(1, 0): F(2)})
         lifted = p.times_variable("b", 2)
         assert lifted.terms == {(3, 2): F(2)}
-        assert lifted.contract("a").terms == {(1, 1): F(2)}
-        with pytest.raises(ValueError):
-            lifted.contract("b")  # squared variable: a slice would lose terms
 
     def test_collapse_equal_variables(self):
         g = GroundSet(("a", "b"))

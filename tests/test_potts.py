@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rayleigh_forge.matroids import (
     Graph,
@@ -8,10 +10,12 @@ from rayleigh_forge.matroids import (
     cycle_graph,
     enumerate_family,
     graphic_matroid,
+    matroid_from_bases,
+    parallel_extend,
     two_sum,
     uniform_matroid,
 )
-from rayleigh_forge.polynomials import symmetrize
+from rayleigh_forge.polynomials import SubsetPoly, symmetrize
 from rayleigh_forge.potts import (
     Model,
     model_poly,
@@ -23,6 +27,7 @@ from rayleigh_forge.potts import (
     uniform_potts_symseq,
 )
 from rayleigh_forge.scalars import LaurentQ
+from rayleigh_forge.words import popcount
 
 F = Fraction
 
@@ -95,32 +100,18 @@ class TestSlices:
             "spanned_excluded": True,
             "spanned_sum": True,
         }
-        assert rep.sampled == {}
-
-    def test_sampled_inequalities(self):
-        mp = potts_poly(graphic_matroid(cycle_graph(4)), F(1, 3))
-        rep = potts_slices(mp, "2", samples=25, seed=11)
-        assert rep.sampled["strict_lower_ok"]
-        assert rep.sampled["weak_upper_ok"]
-        assert not rep.sampled["equality_seen"]
-        assert rep.sampled["equality_matches_coloop"]
 
     def test_coloop_forces_equality(self):
         bridge = graphic_matroid(Graph(3, ((0, 1, "a"), (1, 2, "b"))))
-        rep = potts_slices(potts_poly(bridge, F(1, 2)), "a", samples=10, seed=3)
-        assert rep.sampled["equality_seen"]
-        assert rep.sampled["is_coloop"]
-        assert rep.sampled["equality_matches_coloop"]
+        scans = {s.label: s for s in slice_inequality_scan(bridge, samples=10, seed=3)}
+        assert scans["a"].is_coloop
+        assert scans["a"].equality_count == scans["a"].points == 10
+        assert scans["a"].consistent
 
     def test_loop_rejected(self):
         mp = potts_poly(uniform_matroid(2, 0), F(1, 2))
         with pytest.raises(ValueError):
             potts_slices(mp, "1")
-
-    def test_sampled_needs_small_q(self):
-        mp = potts_poly(uniform_matroid(3, 2), F(2))
-        with pytest.raises(ValueError):
-            potts_slices(mp, "1", samples=5)
 
     def test_scan_consistent(self):
         for m in (graphic_matroid(complete_graph(4)), uniform_matroid(4, 2)):
@@ -214,3 +205,98 @@ class TestScalingLimit:
     def test_alpha_range(self):
         with pytest.raises(ValueError):
             scaling_limit_support(uniform_matroid(2, 1), F(2))
+
+    def test_refuses_more_than_enum_limit(self):
+        with pytest.raises(ValueError, match="capped at 24"):
+            scaling_limit_support(uniform_matroid(25, 3), F(1, 2))
+
+
+# --- the rank-table route against per-subset rank calls -----------------------
+
+
+def reference_potts(matroid, q0):
+    """Z = sum over S of q^(-rank S) y^S, one `rank` call per subset."""
+    terms = {}
+    for w in matroid.ground.subsets():
+        rk = matroid.rank(w)
+        terms[w] = LaurentQ.q_power(-rk) if q0 is None else F(q0) ** -rk
+    return SubsetPoly(matroid.ground, terms)
+
+
+def reference_limit(matroid, alpha):
+    expo = {
+        w: (1 - alpha) * (matroid.r - matroid.rank(w)) + alpha * (popcount(w) - matroid.rank(w))
+        for w in matroid.ground.subsets()
+    }
+    least = min(expo.values())
+    return frozenset(w for w, x in expo.items() if x == least)
+
+
+@st.composite
+def base_matroids(draw):
+    kind = draw(st.sampled_from(("graphic", "uniform", "bases")))
+    if kind == "uniform":
+        m = draw(st.integers(0, 6))
+        return uniform_matroid(m, draw(st.integers(0, m)))
+    n = draw(st.integers(2, 5))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=7))
+    edges = [(u, v) for u, v in pairs if u != v]
+    # parallel edges on purpose: repeat a drawn edge
+    edges += edges[: draw(st.integers(0, 2))]
+    graphic = graphic_matroid(Graph(n, tuple((u, v, f"e{i}") for i, (u, v) in enumerate(edges))))
+    if kind == "graphic":
+        return graphic
+    return matroid_from_bases(enumerate_family(graphic, "bases"))
+
+
+@st.composite
+def potts_matroids(draw):
+    """A graphic, uniform or basis-list matroid, maybe turned into a minor,
+    a dual, a two-sum with a triangle or a parallel extension."""
+    base = draw(base_matroids())
+    labels = base.ground.labels
+    op = draw(st.sampled_from(("none", "delete", "contract", "dual", "two_sum", "parallel")))
+    if op in ("delete", "contract") and labels:
+        label = draw(st.sampled_from(labels))
+        return base.delete(label) if op == "delete" else base.contract(label)
+    if op == "dual":
+        return base.dual()
+    if op == "parallel" and labels:
+        counts = draw(st.lists(st.integers(1, 3), min_size=len(labels), max_size=len(labels)))
+        return parallel_extend(base, dict(zip(labels, counts)))
+    glues = [lab for lab in labels if not base.is_loop(lab) and not base.is_coloop(lab)]
+    if op == "two_sum" and glues:
+        glue = draw(st.sampled_from(glues))
+        triangle = graphic_matroid(Graph(3, ((0, 1, "t1"), (1, 2, "t2"), (2, 0, glue))))
+        return two_sum(base, triangle, glue)
+    return base
+
+
+class TestRankTableRoute:
+    @given(potts_matroids(), st.sampled_from((None, F(1, 2), F(3), F(2, 7))))
+    @settings(max_examples=120, deadline=None)
+    def test_potts_poly_matches_rank_calls(self, matroid, q0):
+        mp = potts_poly(matroid, q0)
+        assert mp.poly == reference_potts(matroid, q0)
+        assert mp.matroid is matroid
+
+    @given(potts_matroids(), st.sampled_from((F(0), F(1, 3), F(1, 2), F(2, 3), F(1))))
+    @settings(max_examples=120, deadline=None)
+    def test_scaling_limit_matches_rank_calls(self, matroid, alpha):
+        assert scaling_limit_support(matroid, alpha) == reference_limit(matroid, alpha)
+
+    def test_graphic_potts_skips_the_rank_oracle(self):
+        # a graphic rank table is filled by one union-find walk, so building
+        # Z must not fall back to a rank call per subset
+        matroid = graphic_matroid(complete_graph(5))
+        calls = []
+        wrapped = matroid._rank_word
+
+        def counted(w):
+            calls.append(w)
+            return wrapped(w)
+
+        matroid._rank_word = counted
+        mp = potts_poly(matroid, F(1, 2))
+        assert len(mp.poly.terms) == 1 << matroid.ground.m
+        assert calls == []

@@ -182,11 +182,6 @@ class TestCheckAll:
             alone = check_pair(z, e, f, SampleStrategy(8, derive(77, idx).next_u64()))
             assert verdict == alone
 
-    def test_budget_overrides_samples(self):
-        z = model_poly(uniform_matroid(3, 2), Model("bases")).poly
-        sweep = check_all(z, SampleStrategy(1000, seed=1), budget=3)
-        assert all(v.samples == 3 for v in sweep.verdicts.values())
-
 
 class TestExchangeable:
     def test_log_concave_verified(self):
@@ -208,6 +203,19 @@ class TestExchangeable:
         e, f = verdict.pair
         rest = dict(verdict.witness)
         assert rayleigh_diff(z, e, f).evaluate(rest) == verdict.value < 0
+
+    def test_witness_skew_raises(self, monkeypatch):
+        # the point evaluator off by one: the ladder's value no longer agrees
+        # with the scalar slice route, nor with the covariance
+        real = rayleigh.pair_value
+
+        def skewed(*args):
+            num, scale = real(*args)
+            return num - 1, scale
+
+        monkeypatch.setattr(rayleigh, "pair_value", skewed)
+        with pytest.raises(ArithmeticError, match="through the covariance"):
+            exchangeable_check(SymSeq((F(1), F(1), F(4), F(1))))
 
     def test_validation(self):
         with pytest.raises(ValueError):
