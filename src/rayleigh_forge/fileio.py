@@ -93,17 +93,6 @@ def parse_weight_file(text: str) -> SubsetPoly:
     return SubsetPoly(ground, terms)
 
 
-def format_weight_file(z: SubsetPoly) -> str:
-    lines = ["elements: " + ",".join(z.ground.labels)]
-    for word in sorted(z.terms):
-        c = z.terms[word]
-        if not isinstance(c, Fraction):
-            raise TypeError("weight files hold rational coefficients only")
-        subset = ",".join(z.ground.labels_of(word)) or "-"
-        lines.append(f"{subset} : {format_rat(c)}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_graph_file(text: str) -> Graph:
     lines = _content_lines(text)
     if not lines:

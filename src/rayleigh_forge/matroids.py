@@ -3,9 +3,10 @@
 A matroid is a ground set plus a rank function on subset words.  Every
 construction (uniform, graphic, explicit basis list, minors, duals, two-sums,
 parallel extensions) just wraps a new rank function; results are cached per
-subset word.  Construction runs a spot check of the rank axioms on random
-subsets so that a bad oracle fails fast rather than corrupting downstream
-verdicts.
+subset word until the table of all 2^m ranks is built, at most once per
+matroid (`rank_table`).  Construction runs a spot check of the rank axioms on
+random subsets so that a bad oracle fails fast rather than corrupting
+downstream verdicts.
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ def exchange_axiom_witness(members: Sequence[int]) -> tuple[int, int, int] | Non
 
 
 class Matroid:
-    """Rank oracle with memoization over subset words."""
+    """Rank oracle with memoization over subset words; once `rank_table` has
+    built the table of every rank, `rank` reads that instead."""
 
     def __init__(
         self,
@@ -144,20 +146,20 @@ class Matroid:
         self.ground = ground
         self._rank_word = rank_word
         self._memo: dict[int, int] = {}
+        self._table: bytes | None = None
         self.provenance = provenance
         if check:
             self._spot_check()
         self.r = self.rank(ground.full)
 
     def rank(self, word: int) -> int:
+        if self._table is not None:
+            return self._table[word]
         cached = self._memo.get(word)
         if cached is None:
             cached = self._rank_word(word)
             self._memo[word] = cached
         return cached
-
-    def rank_labels(self, labels: Iterable[str]) -> int:
-        return self.rank(self.ground.word(labels))
 
     def _spot_check(self) -> None:
         if self.rank(0) != 0:
@@ -373,26 +375,30 @@ class InvariantSequences:
     c: tuple[int, ...] | None = None
 
 
-def rank_table(matroid: Matroid) -> bytearray:
+def rank_table(matroid: Matroid) -> bytes:
     """rank(w) for every subset word w, indexed by w.
 
-    A graphic matroid fills the table by a depth-first walk that adds edges in
-    word order to a union-find and rolls each union back on the way out, so
-    every subset costs one union attempt.  Any other matroid makes one rank
-    call per subset.
+    The table is built on the first call and kept on the matroid, so every
+    later call returns the same `bytes` object and `Matroid.rank` reads it.  A graphic matroid fills it by
+    a depth-first walk that adds edges in word order to a union-find and rolls
+    each union back on the way out, so every subset costs one union attempt.
+    Any other matroid calls its rank oracle once per subset, past the
+    per-word memo, which would otherwise hold a second copy of every rank.
+    Minors, duals and two-sums of this matroid then query its table.
     """
+    if matroid._table is not None:
+        return matroid._table
     m = matroid.ground.m
     if m > ENUM_LIMIT:
         raise ValueError(f"enumeration capped at {ENUM_LIMIT} elements")
-    table = bytearray(1 << m)
     if matroid.provenance[0] == "graphic":
+        table = bytearray(1 << m)
         _, n, ends = matroid.provenance
         _graphic_ranks(table, n, ends)
     else:
-        rank = matroid.rank
-        for w in range(1 << m):
-            table[w] = rank(w)
-    return table
+        table = map(matroid._rank_word, range(1 << m))
+    matroid._table = bytes(table)
+    return matroid._table
 
 
 def _graphic_ranks(table: bytearray, n: int, ends: Sequence[tuple[int, int]]) -> None:

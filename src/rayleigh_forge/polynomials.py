@@ -28,7 +28,6 @@ negative-correlation inequality for the pair {e, f}.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import comb
 from operator import mul
@@ -190,13 +189,6 @@ class SubsetPoly:
         """Swap the coefficient of y^S with the coefficient of y^(E \\ S)."""
         full = self.ground.full
         return SubsetPoly(self.ground, {full ^ w: c for w, c in self.terms.items()})
-
-    def aligned_to(self, ground: GroundSet) -> "SubsetPoly":
-        """Re-key onto a ground set with the same labels in another order."""
-        if set(ground.labels) != set(self.ground.labels):
-            raise ValueError("ground sets hold different labels")
-        pos = tuple(map(ground.index, self.ground.labels))
-        return SubsetPoly(ground, {expand(w, pos): c for w, c in self.terms.items()})
 
     def max_support_size(self) -> int:
         return max(map(popcount, self.terms), default=0)
@@ -633,30 +625,6 @@ def monomial_symmetric_expand(p: QuadPoly) -> dict[tuple[int, int], Fraction]:
             if c:
                 out[(j, k)] = c
     return out
-
-
-def monomial_symmetric_assemble(
-    ground: GroundSet, coeffs: Mapping[tuple[int, int], Fraction]
-) -> QuadPoly:
-    """Inverse of monomial_symmetric_expand: rebuild the full polynomial."""
-    m = ground.m
-    terms: dict[tuple[int, int], Fraction] = {}
-    for (j, k), c in coeffs.items():
-        if not (0 <= j <= k <= m):
-            raise ValueError(f"bad shape ({j}, {k}) for {m} variables")
-        if not c:
-            continue
-        for sup_elems in itertools.combinations(range(m), k):
-            sup = 0
-            for i in sup_elems:
-                sup |= 1 << i
-            for sq_elems in itertools.combinations(sup_elems, j):
-                sq = 0
-                for i in sq_elems:
-                    sq |= 1 << i
-                key = (sup, sq)
-                terms[key] = terms.get(key, Fraction(0)) + c
-    return QuadPoly(ground, terms)
 
 
 # --- determinantal weights ---------------------------------------------------

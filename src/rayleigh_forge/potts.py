@@ -22,7 +22,7 @@ from fractions import Fraction
 from .matroids import Matroid, enumerate_family, rank_table
 from .polynomials import GroundSet, SubsetPoly, _slice_bits, multiply_disjoint
 from .prng import derive, sample_point, unit_fraction
-from .scalars import ONE_MINUS_Q, LaurentQ, clear_denominators
+from .scalars import LaurentQ, clear_denominators
 from .words import compress, expand, popcount
 
 MODEL_KINDS = ("bases", "independent", "spanning", "potts")
@@ -46,6 +46,11 @@ class Model:
     @property
     def symbolic(self) -> bool:
         return self.kind == "potts" and self.q0 is None
+
+    @property
+    def q(self):
+        """The Potts q: the symbolic `LaurentQ` q, or q0 when q is fixed."""
+        return LaurentQ.q_power(1) if self.q0 is None else self.q0
 
 
 @dataclass(frozen=True)
@@ -102,54 +107,36 @@ def uniform_potts_symseq(m: int, r: int, q0: Fraction):
 # --- slices -------------------------------------------------------------------
 
 
-def _loop_status_from_poly(mp: ModelPoly, label: str) -> bool:
+def is_loop_element(mp: ModelPoly, label: str) -> bool:
     """Is `label` a loop, judged from the polynomial alone?"""
     z = mp.poly
     kind = mp.model.kind
     bit = z.ground.bit(label)
     if kind == "potts":
-        c = z.coeff(bit)
-        return c == 1 if isinstance(c, Fraction) else c == LaurentQ.constant(1)
+        return z.coeff(bit) == 1
     if kind in ("bases", "independent"):
         return not _slice_bits(z.terms, keep=bit, zero=0)
     # spanning: a loop never changes spanning-ness, so the two slices agree
     return set(_slice_bits(z.terms, keep=bit, zero=0)) == set(_slice_bits(z.terms, keep=0, zero=bit))
 
 
-def _coloop_status_from_poly(mp: ModelPoly, label: str) -> bool:
+def is_coloop_element(mp: ModelPoly, label: str) -> bool:
+    """Is `label` a coloop, judged from the polynomial alone?
+
+    For Potts this reads coeff(E - g) == q * coeff(E), which cannot tell
+    coloops apart at q = 1.
+    """
     z = mp.poly
     kind = mp.model.kind
     bit = z.ground.bit(label)
     if kind == "potts":
         full = z.ground.full
-        ce, cf = z.coeff(full ^ bit), z.coeff(full)
-        if isinstance(ce, LaurentQ) or isinstance(cf, LaurentQ):
-            return LaurentQ.coerce(ce) == LaurentQ.coerce(cf) * LaurentQ.q_power(1)
-        q0 = mp.model.q0
-        if q0 == 1:
-            raise ValueError("cannot classify elements at q0 = 1 without the matroid")
-        return ce == cf * q0
+        return z.coeff(full ^ bit) == z.coeff(full) * mp.model.q
     deleted = _slice_bits(z.terms, keep=0, zero=bit)
     if kind in ("bases", "spanning"):
         return not deleted
     # independent: deleting a coloop lowers the maximum independent size
     return max(map(popcount, deleted), default=0) < z.max_support_size()
-
-
-def is_loop_element(mp: ModelPoly, label: str) -> bool:
-    if mp.matroid is not None:
-        return mp.matroid.is_loop(label)
-    return _loop_status_from_poly(mp, label)
-
-
-def is_coloop_element(mp: ModelPoly, label: str) -> bool:
-    if mp.matroid is not None:
-        return mp.matroid.is_coloop(label)
-    return _coloop_status_from_poly(mp, label)
-
-
-def delete_slice(mp: ModelPoly, label: str) -> SubsetPoly:
-    return mp.poly.delete(label)
 
 
 def contract_slice(mp: ModelPoly, label: str) -> SubsetPoly:
@@ -161,9 +148,7 @@ def contract_slice(mp: ModelPoly, label: str) -> SubsetPoly:
     sliced = mp.poly.contract(label)
     if mp.model.kind != "potts" or is_loop_element(mp, label):
         return sliced
-    if mp.model.symbolic:
-        return sliced.scale(LaurentQ.q_power(1))
-    return sliced.scale(mp.model.q0)
+    return sliced.scale(mp.model.q)
 
 
 @dataclass(frozen=True)
@@ -197,7 +182,7 @@ def potts_slices(mp: ModelPoly, label: str) -> SliceReport:
     if matroid.is_loop(label):
         raise ValueError(f"element {label!r} is a loop")
 
-    del_poly = delete_slice(mp, label)
+    del_poly = mp.poly.delete(label)
     con_poly = contract_slice(mp, label)
     del_minor = matroid.delete(label)
     con_minor = matroid.contract(label)
@@ -214,14 +199,15 @@ def potts_slices(mp: ModelPoly, label: str) -> SliceReport:
         bit = z.ground.bit(label)
         sub = z.ground.without(label)
         pos = tuple(map(z.ground.index, sub.labels))
+        q_inv = LaurentQ.q_power(-1)
         # reconstruction: compare coefficients of Z against Z^g + q^-1 y_g Z_g
         recon = True
         for w, c in z.terms.items():
             if w & bit:
-                expect = LaurentQ.q_power(-1) * con_poly.terms.get(compress(w, pos), LaurentQ.zero())
+                expect = q_inv * con_poly.coeff(compress(w, pos))
             else:
-                expect = del_poly.terms.get(compress(w, pos), LaurentQ.zero())
-            if LaurentQ.coerce(c) != LaurentQ.coerce(expect):
+                expect = del_poly.coeff(compress(w, pos))
+            if c != expect:
                 recon = False
                 break
         identities["reconstruction"] = recon
@@ -238,15 +224,11 @@ def potts_slices(mp: ModelPoly, label: str) -> SliceReport:
             else:
                 unspanned[w] = weights[rk]
 
-        one_minus_qinv = LaurentQ(-1, (Fraction(-1), Fraction(1)))  # 1 - q^-1
-        lhs_b = del_poly - con_poly.scale(LaurentQ.q_power(-1))
-        rhs_b = SubsetPoly(sub, {w: one_minus_qinv * c for w, c in unspanned.items()})
+        lhs_b = del_poly - con_poly.scale(q_inv)
+        rhs_b = SubsetPoly(sub, unspanned).scale(1 - q_inv)
         identities["spanned_excluded"] = lhs_b == rhs_b
 
-        diff = del_poly - con_poly
-        quot = SubsetPoly(
-            sub, {w: LaurentQ.coerce(c).divide_by_one_minus_q() for w, c in diff.terms.items()}
-        )
+        quot = _divide_one_minus_q(del_poly - con_poly, mp.model)
         identities["spanned_sum"] = quot == SubsetPoly(sub, spanned)
 
     return SliceReport(deleted=deleted, contracted=contracted, identities=identities)
@@ -373,16 +355,16 @@ def twosum_compose(left: ModelPoly, right: ModelPoly, glue: str, model: Model) -
     lset, rset = set(left.ground.labels), set(right.ground.labels)
     if lset & rset != {glue}:
         raise ValueError("parts must share exactly the glue element")
+    if model.kind == "potts" and model.q0 == 1:
+        raise ValueError("two-sum composition is undefined at q = 1")
     for side, mp in (("left", left), ("right", right)):
         if is_loop_element(mp, glue):
             raise ValueError(f"glue element is a loop on the {side} side")
         if is_coloop_element(mp, glue):
             raise ValueError(f"glue element is a coloop on the {side} side")
-    if model.kind == "potts" and model.q0 == 1:
-        raise ValueError("two-sum composition is undefined at q = 1")
 
-    ld, lc = delete_slice(left, glue), contract_slice(left, glue)
-    rd, rc = delete_slice(right, glue), contract_slice(right, glue)
+    ld, lc = left.poly.delete(glue), contract_slice(left, glue)
+    rd, rc = right.poly.delete(glue), contract_slice(right, glue)
 
     cross = multiply_disjoint(ld, rc) + multiply_disjoint(lc, rd)
     if model.kind == "bases":
@@ -395,26 +377,16 @@ def twosum_compose(left: ModelPoly, right: ModelPoly, glue: str, model: Model) -
         numerator = (
             cross
             - multiply_disjoint(lc, rc)
-            - multiply_disjoint(ld, rd).scale(_q_scalar(model))
+            - multiply_disjoint(ld, rd).scale(model.q)
         )
         form2 = _divide_one_minus_q(numerator, model)
         gap_l = _divide_one_minus_q(ld - lc, model)
         gap_r = _divide_one_minus_q(rd - rc, model)
-        form1 = multiply_disjoint(ld, rd) - multiply_disjoint(gap_l, gap_r).scale(
-            _one_minus_q_scalar(model)
-        )
+        form1 = multiply_disjoint(ld, rd) - multiply_disjoint(gap_l, gap_r).scale(1 - model.q)
         if form1 != form2:
             raise ArithmeticError("the two Potts two-sum forms disagree")
         out = form2
     return ModelPoly(out, model, None)
-
-
-def _q_scalar(model: Model):
-    return LaurentQ.q_power(1) if model.symbolic else model.q0
-
-
-def _one_minus_q_scalar(model: Model):
-    return ONE_MINUS_Q if model.symbolic else 1 - model.q0
 
 
 def _divide_one_minus_q(poly: SubsetPoly, model: Model) -> SubsetPoly:

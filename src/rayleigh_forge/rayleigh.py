@@ -43,6 +43,7 @@ from .polynomials import (
 )
 from .prng import DEFAULT_SEED, DENOMINATOR_BITS, SplitMix64, derive, log_uniform_fraction, sample_point
 from .scalars import clear_denominators, format_rat
+from .sequences import Seq, check_condition
 from .words import compress, term_value
 
 
@@ -327,29 +328,22 @@ def exchangeable_check(seq: SymSeq, find_witness: bool = True) -> RayleighVerdic
     """Exact Rayleigh test for exchangeable weights.
 
     An exchangeable partition function is Rayleigh iff its coefficient
-    sequence is log-concave with no internal zeros.  Refutations carry the
-    violating index; for small m an explicit refuting point is also found by
-    pushing the other variables toward 0/infinity along a dyadic ladder.
+    sequence is log-concave with no internal zeros: the ladder conditions a0
+    and a2 of `sequences.check_condition`.  Refutations carry the first a0
+    violation, else the first a2 one; for small m an explicit refuting point
+    is also found by pushing the other variables toward 0/infinity along a
+    dyadic ladder.
     """
     a = seq.entries
     m = seq.m
-    for c in a:
-        if c < 0:
-            raise ValueError("entries must be nonnegative")
-    nonzero = [k for k, c in enumerate(a) if c]
-    if not nonzero:
+    if any(c < 0 for c in a):
+        raise ValueError("entries must be nonnegative")
+    if not any(a):
         raise ValueError("sequence is identically zero")
-    lo, hi = nonzero[0], nonzero[-1]
-    bad = None
-    for k in range(lo + 1, hi):
-        if a[k] == 0:
-            bad = k
-            break
+    ladder = Seq(0, a)
+    bad = check_condition(ladder, "a0").witness
     if bad is None:
-        for k in range(1, m):
-            if a[k] * a[k] < a[k - 1] * a[k + 1]:
-                bad = k
-                break
+        bad = check_condition(ladder, "a2").witness
     if bad is None:
         return RayleighVerdict("verified", method="exchangeable")
     witness = value = pair = None

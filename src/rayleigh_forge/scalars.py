@@ -230,6 +230,3 @@ class LaurentQ:
                 else:
                     parts.append(f"{format_rat(c)}*{mag}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-ONE_MINUS_Q = LaurentQ(0, (Fraction(1), Fraction(-1)))

@@ -252,6 +252,16 @@ class TestTwoSum:
         assert run(["twosum", files["tri"], files["tri2"], "--glue", "g",
                     "--model", "potts", "--q", "1"]) == 3
 
+    def test_potts_q_one_refused_before_classifying(self, tmp_path, capsys):
+        # at q = 1 the coloop test cannot tell coloops apart, so the refusal
+        # must come first; the {g} weights are not 1, so g reads as no loop
+        left, right = tmp_path / "l.weights", tmp_path / "r.weights"
+        left.write_text("elements: a,g\n- : 1\na : 2\ng : 2\na,g : 2\n")
+        right.write_text("elements: b,g\n- : 1\nb : 3\ng : 3\nb,g : 3\n")
+        code = run(["twosum", left, right, "--glue", "g", "--model", "potts", "--q", "1"])
+        assert code == 3
+        assert "undefined at q = 1" in capsys.readouterr().err
+
     def test_bad_glue(self, files):
         assert run(["twosum", files["tri"], files["tri2"], "--glue", "a1"]) == 3
 

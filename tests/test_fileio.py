@@ -8,7 +8,6 @@ from rayleigh_forge.fileio import (
     InputFormatError,
     coeff_payload,
     detect_format,
-    format_weight_file,
     laurent_payload,
     parse_bases_file,
     parse_certificate_file,
@@ -17,9 +16,19 @@ from rayleigh_forge.fileio import (
     poly_payload,
 )
 from rayleigh_forge.polynomials import GroundSet, SubsetPoly, rayleigh_diff
-from rayleigh_forge.scalars import LaurentQ
+from rayleigh_forge.scalars import LaurentQ, format_rat
 
 F = Fraction
+
+
+def format_weight_file(z: SubsetPoly) -> str:
+    """The weight-file text of a rational polynomial: the round-trip reference."""
+    lines = ["elements: " + ",".join(z.ground.labels)]
+    for word in sorted(z.terms):
+        subset = ",".join(z.ground.labels_of(word)) or "-"
+        lines.append(f"{subset} : {format_rat(z.terms[word])}")
+    return "\n".join(lines) + "\n"
+
 
 WEIGHTS = """\
 # weight file

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rayleigh_forge import matroids
 from rayleigh_forge.matroids import (
     Graph,
     complete_graph,
@@ -12,12 +13,16 @@ from rayleigh_forge.matroids import (
     graphic_matroid,
     matroid_from_bases,
     parallel_extend,
+    rank_table,
     two_sum,
     uniform_matroid,
 )
 from rayleigh_forge.polynomials import SubsetPoly, symmetrize
 from rayleigh_forge.potts import (
     Model,
+    ModelPoly,
+    is_coloop_element,
+    is_loop_element,
     model_poly,
     potts_poly,
     potts_slices,
@@ -180,10 +185,8 @@ class TestTwoSumCompose:
             )
 
     def test_works_without_source_matroid(self):
-        # strip the matroids: loop/coloop classification must fall back to the
-        # polynomial route
-        from rayleigh_forge.potts import ModelPoly
-
+        # weight-file sides carry no matroid; the glue is classified from the
+        # polynomials alone
         model = Model("bases")
         lp = model_poly(_triangle("a"), model)
         rp = model_poly(_triangle("b"), model)
@@ -215,17 +218,18 @@ class TestScalingLimit:
 
 
 def reference_potts(matroid, q0):
-    """Z = sum over S of q^(-rank S) y^S, one `rank` call per subset."""
+    """Z = sum over S of q^(-rank S) y^S, one rank-oracle call per subset."""
     terms = {}
     for w in matroid.ground.subsets():
-        rk = matroid.rank(w)
+        rk = matroid._rank_word(w)
         terms[w] = LaurentQ.q_power(-rk) if q0 is None else F(q0) ** -rk
     return SubsetPoly(matroid.ground, terms)
 
 
 def reference_limit(matroid, alpha):
+    rank = matroid._rank_word
     expo = {
-        w: (1 - alpha) * (matroid.r - matroid.rank(w)) + alpha * (popcount(w) - matroid.rank(w))
+        w: (1 - alpha) * (matroid.r - rank(w)) + alpha * (popcount(w) - rank(w))
         for w in matroid.ground.subsets()
     }
     least = min(expo.values())
@@ -300,3 +304,44 @@ class TestRankTableRoute:
         mp = potts_poly(matroid, F(1, 2))
         assert len(mp.poly.terms) == 1 << matroid.ground.m
         assert calls == []
+
+    def test_one_table_per_matroid(self, monkeypatch):
+        # potts_poly and the closure split of every slice share one table
+        matroid = graphic_matroid(complete_graph(4))
+        walks = []
+        walk = matroids._graphic_ranks
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(matroids, "_graphic_ranks", counted)
+        mp = potts_poly(matroid)
+        for lab in matroid.ground.labels:
+            assert all(potts_slices(mp, lab).identities.values())
+        assert len(walks) == 1
+        table = rank_table(matroid)
+        assert isinstance(table, bytes) and rank_table(matroid) is table
+
+
+class TestElementClassification:
+    @given(
+        potts_matroids(),
+        st.sampled_from(
+            (
+                Model("bases"),
+                Model("independent"),
+                Model("spanning"),
+                Model("potts"),
+                Model("potts", F(1, 2)),
+                Model("potts", F(3)),
+                Model("potts", F(2, 7)),
+            )
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_loops_and_coloops_read_from_the_polynomial(self, matroid, model):
+        mp = ModelPoly(model_poly(matroid, model).poly, model, None)
+        for lab in matroid.ground.labels:
+            assert is_loop_element(mp, lab) == matroid.is_loop(lab)
+            assert is_coloop_element(mp, lab) == matroid.is_coloop(lab)

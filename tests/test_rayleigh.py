@@ -30,6 +30,7 @@ from rayleigh_forge.rayleigh import (
     exchangeable_check,
     negative_association_check,
     scalar_pair_diff,
+    symmetrize_and_check,
     triple_condition_check,
 )
 
@@ -240,6 +241,61 @@ class TestExchangeable:
         verdict = exchangeable_check(seq, find_witness=False)
         if any_negative:
             assert verdict.refuted
+
+
+def reference_exchangeable_index(a) -> int | None:
+    """The first internal zero, else the first k with a_k^2 < a_(k-1) a_(k+1)."""
+    nonzero = [k for k, c in enumerate(a) if c]
+    for k in range(nonzero[0] + 1, nonzero[-1]):
+        if a[k] == 0:
+            return k
+    for k in range(1, len(a) - 1):
+        if a[k] * a[k] < a[k - 1] * a[k + 1]:
+            return k
+    return None
+
+
+@given(
+    st.lists(
+        st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=50, max_denominator=12)),
+        min_size=1,
+        max_size=9,
+    ).filter(any)
+)
+@settings(max_examples=200, deadline=None)
+def test_exchangeable_matches_inline_reference(entries):
+    # exchangeable_check reads the ladder's a0 and a2 scans; the inline scans
+    # they replaced stay here as the reference for status and index
+    verdict = exchangeable_check(SymSeq(entries), find_witness=False)
+    bad = reference_exchangeable_index(entries)
+    assert verdict.verified == (bad is None)
+    assert verdict.index == bad
+
+
+class TestSymmetrizeAndCheck:
+    def test_verified_input_verified_symmetrization(self):
+        z = model_poly(uniform_matroid(4, 2), Model("bases")).poly
+        rep = symmetrize_and_check(z)
+        assert rep.base_sweep.all_verified and rep.symmetrized_verdict.verified
+        assert not rep.counterexample
+        assert rep.note == "input verified coefficientwise; symmetrization verified"
+
+    def test_unverified_input(self):
+        z = model_poly(graphic_matroid(complete_graph(4)), Model("bases")).poly
+        rep = symmetrize_and_check(z)
+        assert not rep.base_sweep.all_verified and not rep.counterexample
+        assert rep.note == "input not verified coefficientwise; no conclusion about preservation"
+
+    def test_counterexample_flagged(self, monkeypatch):
+        z = model_poly(uniform_matroid(4, 2), Model("bases")).poly
+
+        def refuted(seq):
+            return RayleighVerdict("refuted", index=1)
+
+        monkeypatch.setattr(rayleigh, "exchangeable_check", refuted)
+        rep = symmetrize_and_check(z)
+        assert rep.counterexample
+        assert rep.note == "counterexample: verified input, refuted symmetrization"
 
 
 class TestAssociation:

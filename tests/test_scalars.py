@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rayleigh_forge.scalars import ONE_MINUS_Q, LaurentQ, clear_denominators, format_rat, parse_rat
+from rayleigh_forge.scalars import LaurentQ, clear_denominators, format_rat, parse_rat
 
+ONE_MINUS_Q = LaurentQ(0, (Fraction(1), Fraction(-1)))
 rationals = st.fractions(max_denominator=1000)
 
 

@@ -130,8 +130,8 @@ def ref_scan(matroid: Matroid, samples: int, seed: int) -> list[SliceScan]:
                 mono = F(1)
                 for other in ground.labels_of(w):
                     mono *= point[other]
-                del_sum += q0 ** -matroid.rank(w) * mono
-                con_sum += q0 ** -(matroid.rank(w | bit) - 1) * mono
+                del_sum += q0 ** -matroid._rank_word(w) * mono
+                con_sum += q0 ** -(matroid._rank_word(w | bit) - 1) * mono
             strict_ok[i] = strict_ok[i] and q0 * del_sum < con_sum
             weak_ok[i] = weak_ok[i] and con_sum <= del_sum
             eq_count[i] += con_sum == del_sum
