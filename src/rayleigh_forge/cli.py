@@ -76,7 +76,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", default=hex(DEFAULT_SEED), help="PRNG seed (decimal or 0x hex)")
     common.add_argument("--json", metavar="PATH", default=None, help="write the JSON report here")
-    common.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     return common
 
 
@@ -103,8 +102,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("potts", parents=common, help="random-cluster partition functions")
     p.add_argument("action", choices=["build"])
     p.add_argument("path")
-    p.add_argument("--q", default=None, help="evaluate at this rational q")
-    p.add_argument("--symbolic", action="store_true", help="keep q symbolic (default)")
+    p.add_argument("--q", default=None, help="evaluate at this rational q (default: q stays symbolic)")
 
     p = sub.add_parser("twosum", parents=common, help="compose two inputs along a glue element")
     p.add_argument("left")
@@ -292,8 +290,6 @@ def _cmd_rayleigh(args, seed: int, digests) -> tuple[int, dict]:
 
 def _cmd_potts(args, seed: int, digests) -> tuple[int, dict]:
     matroid = _require_matroid(_load_input(args.path, digests), "potts build")
-    if args.q is not None and args.symbolic:
-        raise InputFormatError("--q and --symbolic are mutually exclusive")
     q0 = parse_rat(args.q) if args.q is not None else None
     mp = potts_poly(matroid, q0)
     q_mode = "symbolic" if q0 is None else format_rat(q0)

@@ -39,8 +39,10 @@ from .polynomials import (
     SymSeq,
     mmatrix_weights,
     monomial_symmetric_expand,
-    quad_multiply_disjoint,
+    multiply_disjoint,
+    pair_value,
     rayleigh_diff,
+    rayleigh_pairs,
     symmetrize,
     symseq_to_poly,
 )
@@ -53,7 +55,7 @@ from .potts import (
     twosum_compose,
     uniform_potts_symseq,
 )
-from .prng import DEFAULT_SEED, SplitMix64, derive, log_uniform_fraction, sample_point
+from .prng import DEFAULT_SEED, DENOMINATOR_BITS, SplitMix64, derive, log_uniform_fraction, sample_point
 from .rayleigh import (
     CertificateStrategy,
     CoeffStrategy,
@@ -62,7 +64,6 @@ from .rayleigh import (
     check_all,
     exchangeable_check,
     negative_association_check,
-    sliced_pair_diff,
     triple_condition_check,
 )
 from .sequences import Seq, check_condition, convolution_identity, convolve, seq_from_values
@@ -361,7 +362,7 @@ def _item_twosum_crosspair(ctx: CorpusContext) -> tuple[bool, str]:
             dn = rayleigh_diff(zn, e, f)
             dl = rayleigh_diff(zl, e, "g")
             dr = rayleigh_diff(zr, "g", f)
-            if quad_multiply_disjoint(dl, dr) != dn:
+            if multiply_disjoint(dl, dr) != dn:
                 fails.append((e, f))
     return not fails, "4 cross pairs factor exactly through the glue element"
 
@@ -639,13 +640,14 @@ def weight_fuzz(count: int, seed: int, max_m: int = 6) -> tuple[bool, str]:
         if check_all(z, CoeffStrategy()).all_verified:
             verified += 1
             pairs = list(itertools.combinations(labels, 2))
-            diffs: dict[tuple[str, str], Callable] = {}
+            diffs: dict[tuple[str, str], tuple] = {}
             for _ in range(100):
                 e, f = pairs[rng.below(len(pairs))]
                 point = sample_point(rng, labels)
                 if (e, f) not in diffs:
-                    diffs[e, f] = sliced_pair_diff(z, e, f)
-                if diffs[e, f](point) < 0:
+                    diffs[e, f] = rayleigh_pairs(z, e, f)
+                sub, den, diff_pairs = diffs[e, f]
+                if pair_value(sub.coordinates(point), DENOMINATOR_BITS, den, *diff_pairs)[0] < 0:
                     problems.append((i, "negative-sample"))
                     break
             for lab in labels:

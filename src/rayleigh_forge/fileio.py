@@ -187,20 +187,9 @@ def laurent_payload(value: LaurentQ) -> dict:
 
 
 def poly_payload(p: SubsetPoly | QuadPoly) -> list[dict]:
-    ground = p.ground
-    out = []
-    if isinstance(p, SubsetPoly):
-        keys = [(w, 0) for w in sorted(p.terms)]
-        lookup = {(w, 0): c for w, c in p.terms.items()}
-    else:
-        keys = sorted(p.terms)
-        lookup = p.terms
-    for support_word, squared_word in keys:
-        out.append(
-            {
-                "support": list(ground.labels_of(support_word)),
-                "squared": list(ground.labels_of(squared_word)),
-                "coeff": coeff_payload(lookup[(support_word, squared_word)]),
-            }
-        )
-    return out
+    """One entry per term, sorted by (support word, squared word)."""
+    labels_of = p.ground.labels_of
+    return [
+        {"support": list(labels_of(sup)), "squared": list(labels_of(sq)), "coeff": coeff_payload(c)}
+        for sup, sq, c in sorted(p.monomials(), key=lambda t: t[:2])
+    ]

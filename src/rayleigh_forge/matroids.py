@@ -93,9 +93,6 @@ class SetSystem:
     def member_set(self) -> frozenset[int]:
         return self._member_set
 
-    def labels(self) -> list[tuple[str, ...]]:
-        return [self.ground.labels_of(w) for w in self.members]
-
 
 class BasisExchangeError(ValueError):
     """Raised when an alleged basis family violates the exchange axiom."""

@@ -4,7 +4,9 @@ A ground set of at most 30 labeled elements is fixed per polynomial; subsets
 are machine words with bit i standing for the i-th label.  `SubsetPoly` is a
 sparse multiaffine polynomial (one term per subset); `QuadPoly` allows each
 variable to reach degree two and keys its terms by the pair
-(support word, squared word) with squared <= support bitwise.  Coefficients
+(support word, squared word) with squared <= support bitwise.  Both keep
+their terms in one dict and share its arithmetic, evaluation, printing and
+disjoint product; only the key shape differs.  Coefficients
 are exact `Fraction`s; `LaurentQ` coefficients (symbolic q) are for slices
 and two-sums only.
 
@@ -29,12 +31,13 @@ negative-correlation inequality for the pair {e, f}.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import comb
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import clear_denominators, format_rat
-from .words import compress, expand, popcount, term_value
+from .words import bit_positions, compress, popcount, term_value
 
 MAX_GROUND = 30
 
@@ -113,30 +116,25 @@ def canonical_ground(m: int) -> GroundSet:
     return GroundSet(str(i) for i in range(1, m + 1))
 
 
-class SubsetPoly:
-    """Sparse multiaffine polynomial: word -> coefficient, zeros dropped."""
+class _TermPoly:
+    """Sparse coefficient dict on a ground set, zeros dropped.
+
+    The subclass fixes the key shape: `_key(support, squared)` builds a key
+    and `monomials()` yields (support, squared, coeff) for every term, so the
+    arithmetic, evaluation, printing and disjoint products here are shared.
+    """
 
     __slots__ = ("ground", "terms")
 
-    def __init__(self, ground: GroundSet, terms: Mapping[int, object]):
+    def __init__(self, ground: GroundSet, terms: Mapping):
+        if self._bad_keys(terms, ground.full):
+            raise ValueError(self._bad_key_message)
         self.ground = ground
-        clean: dict[int, object] = {}
-        full = ground.full
-        for word, coeff in terms.items():
-            if word & ~full:
-                raise ValueError("subset word outside the ground set")
-            if isinstance(coeff, int):
-                coeff = Fraction(coeff)
-            if coeff:
-                clean[word] = coeff
-        self.terms = clean
+        self.terms = {k: Fraction(c) if isinstance(c, int) else c for k, c in terms.items() if c}
 
     @classmethod
-    def zero(cls, ground: GroundSet) -> "SubsetPoly":
+    def zero(cls, ground: GroundSet):
         return cls(ground, {})
-
-    def coeff(self, word: int):
-        return self.terms.get(word, Fraction(0))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -145,25 +143,60 @@ class SubsetPoly:
         return all(isinstance(c, Fraction) for c in self.terms.values())
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, SubsetPoly):
+        if type(other) is not type(self):
             return NotImplemented
         return self.ground == other.ground and self.terms == other.terms
 
     __hash__ = None  # mutable dict inside; structural equality only
 
-    def __add__(self, other: "SubsetPoly") -> "SubsetPoly":
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         if self.ground != other.ground:
             raise ValueError("ground sets differ")
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return SubsetPoly(self.ground, out)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, Fraction(0)) + c
+        return type(self)(self.ground, out)
 
-    def __sub__(self, other: "SubsetPoly") -> "SubsetPoly":
+    def __sub__(self, other):
         return self + other.scale(-1)
 
-    def scale(self, c) -> "SubsetPoly":
-        return SubsetPoly(self.ground, {w: c * x for w, x in self.terms.items()})
+    def scale(self, c):
+        return type(self)(self.ground, {k: c * x for k, x in self.terms.items()})
+
+    def evaluate(self, point: Mapping[str, Fraction]):
+        """Term-by-term value at a point, in the coefficients' own type.
+
+        The CLI evaluates pair differences with `pair_value` on integer
+        slices instead; this is the reference route.
+        """
+        vals = self.ground.coordinates(point)
+        return sum((term_value(c, vals, sup, sq) for sup, sq, c in self.monomials()), Fraction(0))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({poly_text(self)})"
+
+
+class SubsetPoly(_TermPoly):
+    """Sparse multiaffine polynomial: word -> coefficient, zeros dropped."""
+
+    __slots__ = ()
+    _bad_key_message = "subset word outside the ground set"
+
+    @staticmethod
+    def _bad_keys(terms: Mapping[int, object], full: int) -> bool:
+        return any(w & ~full for w in terms)
+
+    @staticmethod
+    def _key(sup: int, sq: int) -> int:
+        return sup
+
+    def monomials(self):
+        return zip(self.terms, repeat(0), self.terms.values())
+
+    def coeff(self, word: int):
+        return self.terms.get(word, Fraction(0))
 
     # slices ----------------------------------------------------------------
 
@@ -179,11 +212,7 @@ class SubsetPoly:
         sub, s = _slicer(self.terms, self.ground, label)
         return SubsetPoly(sub, s(keep, zero))
 
-    # evaluation and transforms ----------------------------------------------
-
-    def evaluate(self, point: Mapping[str, Fraction]):
-        vals = self.ground.coordinates(point)
-        return sum((term_value(c, vals, w) for w, c in self.terms.items()), Fraction(0))
+    # transforms --------------------------------------------------------------
 
     def dualize(self) -> "SubsetPoly":
         """Swap the coefficient of y^S with the coefficient of y^(E \\ S)."""
@@ -193,20 +222,16 @@ class SubsetPoly:
     def max_support_size(self) -> int:
         return max(map(popcount, self.terms), default=0)
 
-    def __repr__(self):
-        return f"SubsetPoly({poly_text(self)})"
 
-
-def poly_text(poly: "SubsetPoly") -> str:
-    if not poly.terms:
-        return "0"
+def poly_text(poly: _TermPoly) -> str:
+    """Terms by degree, then by word; a squared variable prints as y[a]^2."""
+    labels = poly.ground.labels
     parts = []
-    for w in sorted(poly.terms, key=lambda w: (popcount(w), w)):
-        c = poly.terms[w]
-        mono = "*".join(f"y[{lab}]" for lab in poly.ground.labels_of(w)) or "1"
+    for sup, sq, c in sorted(poly.monomials(), key=lambda t: (popcount(t[0]) + popcount(t[1]), t[0], t[1])):
+        mono = "*".join(f"y[{labels[i]}]^2" if sq >> i & 1 else f"y[{labels[i]}]" for i in bit_positions(sup)) or "1"
         cs = format_rat(c) if isinstance(c, Fraction) else f"({c})"
         parts.append(mono if cs == "1" else f"{cs}*{mono}")
-    return " + ".join(parts)
+    return " + ".join(parts) or "0"
 
 
 def from_weights(ground: GroundSet, weights: Mapping[int, Fraction]) -> SubsetPoly:
@@ -223,7 +248,7 @@ def from_weights(ground: GroundSet, weights: Mapping[int, Fraction]) -> SubsetPo
     return poly
 
 
-class QuadPoly:
+class QuadPoly(_TermPoly):
     """Polynomial of per-variable degree at most two.
 
     Term keys are (support, squared): variables in `squared` carry exponent
@@ -231,83 +256,33 @@ class QuadPoly:
     support.
     """
 
-    __slots__ = ("ground", "terms")
+    __slots__ = ()
+    _bad_key_message = "malformed quadratic term key"
 
-    def __init__(self, ground: GroundSet, terms: Mapping[tuple[int, int], object]):
-        self.ground = ground
-        clean: dict[tuple[int, int], object] = {}
-        full = ground.full
-        for (sup, sq), coeff in terms.items():
-            if sup & ~full or sq & ~sup:
-                raise ValueError("malformed quadratic term key")
-            if isinstance(coeff, int):
-                coeff = Fraction(coeff)
-            if coeff:
-                clean[(sup, sq)] = coeff
-        self.terms = clean
+    @staticmethod
+    def _bad_keys(terms: Mapping[tuple[int, int], object], full: int) -> bool:
+        return any(sup & ~full or sq & ~sup for sup, sq in terms)
 
-    @classmethod
-    def zero(cls, ground: GroundSet) -> "QuadPoly":
-        return cls(ground, {})
+    @staticmethod
+    def _key(sup: int, sq: int) -> tuple[int, int]:
+        return sup, sq
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_rational(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.terms.values())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuadPoly):
-            return NotImplemented
-        return self.ground == other.ground and self.terms == other.terms
-
-    __hash__ = None  # mutable dict inside; structural equality only
-
-    def __add__(self, other: "QuadPoly") -> "QuadPoly":
-        if self.ground != other.ground:
-            raise ValueError("ground sets differ")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return QuadPoly(self.ground, out)
-
-    def __sub__(self, other: "QuadPoly") -> "QuadPoly":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "QuadPoly":
-        return QuadPoly(self.ground, {k: c * x for k, x in self.terms.items()})
+    def monomials(self):
+        for (sup, sq), c in self.terms.items():
+            yield sup, sq, c
 
     def coeff(self, sup: int, sq: int):
         return self.terms.get((sup, sq), Fraction(0))
 
-    def evaluate(self, point: Mapping[str, Fraction]):
-        """Term-by-term `Fraction` value at a point: the reference route.
-
-        The CLI evaluates pair differences with `pair_value` on integer
-        slices instead; this stays for tests and the benchmark's traced run.
-        """
-        vals = self.ground.coordinates(point)
-        return sum((term_value(c, vals, sup, sq) for (sup, sq), c in self.terms.items()), Fraction(0))
-
-    def embedded(self, ground: GroundSet) -> "QuadPoly":
-        """Re-key onto a larger (or reordered) ground set containing our labels."""
-        pos = tuple(map(ground.index, self.ground.labels))
-        out = {}
-        for (sup, sq), c in self.terms.items():
-            out[(expand(sup, pos), expand(sq, pos))] = c
-        return QuadPoly(ground, out)
-
-    def times_variable(self, label: str, power: int) -> "QuadPoly":
-        """Multiply by y_label or y_label^2; the variable must be absent."""
-        if power not in (1, 2):
-            raise ValueError("power must be 1 or 2")
+    def split_at(self, label: str) -> tuple["QuadPoly", "QuadPoly", "QuadPoly"]:
+        """(P0, P1, P2) on the ground set without label, with P = P0 + y P1 + y^2 P2 at y = y_label."""
         bit = self.ground.bit(label)
-        out = {}
+        sub = self.ground.without(label)
+        pos = tuple(map(self.ground.index, sub.labels))
+        parts: tuple[dict, dict, dict] = ({}, {}, {})
         for (sup, sq), c in self.terms.items():
-            if sup & bit:
-                raise ValueError(f"variable {label!r} already present")
-            out[(sup | bit, sq | (bit if power == 2 else 0))] = c
-        return QuadPoly(self.ground, out)
+            parts[bool(sup & bit) + bool(sq & bit)][compress(sup, pos), compress(sq, pos)] = c
+        return tuple(QuadPoly(sub, part) for part in parts)
 
     def min_coefficient(self) -> Fraction:
         if not self.is_rational():
@@ -327,24 +302,6 @@ class QuadPoly:
             out[popcount(sup) + popcount(sq)] += c
         return out
 
-    def __repr__(self):
-        if not self.terms:
-            return "QuadPoly(0)"
-        parts = []
-        for (sup, sq) in sorted(self.terms):
-            c = self.terms[(sup, sq)]
-            factors = []
-            for i, lab in enumerate(self.ground.labels):
-                b = 1 << i
-                if sq & b:
-                    factors.append(f"y[{lab}]^2")
-                elif sup & b:
-                    factors.append(f"y[{lab}]")
-            mono = "*".join(factors) or "1"
-            cs = format_rat(c) if isinstance(c, Fraction) else f"({c})"
-            parts.append(f"{cs}*{mono}")
-        return "QuadPoly(" + " + ".join(parts) + ")"
-
 
 def multiply(p: SubsetPoly, q: SubsetPoly) -> QuadPoly:
     """Product of two multiaffine polynomials on one ground set; rational only."""
@@ -352,7 +309,7 @@ def multiply(p: SubsetPoly, q: SubsetPoly) -> QuadPoly:
         raise ValueError("ground sets differ")
     a, da = _scaled(p.terms)
     b, db = _scaled(q.terms)
-    return _pair_products(p.ground, da * db, (1, a, b))
+    return pair_products(p.ground, da * db, (1, a, b))
 
 
 def _scaled(terms: Mapping[int, object]) -> tuple[dict[int, int], int]:
@@ -363,7 +320,7 @@ def _scaled(terms: Mapping[int, object]) -> tuple[dict[int, int], int]:
     return dict(zip(terms, ints)), den
 
 
-def _pair_products(ground: GroundSet, den: int, *pairs: tuple[int, dict, dict]) -> QuadPoly:
+def pair_products(ground: GroundSet, den: int, *pairs: tuple[int, dict, dict]) -> QuadPoly:
     """sum(sign * A * B) / den over signed pairs of integer word-keyed slices.
 
     The one pair-product kernel: Python ints accumulate under the keys
@@ -384,7 +341,7 @@ def _pair_products(ground: GroundSet, den: int, *pairs: tuple[int, dict, dict]) 
 def pair_value(vals: Sequence[Fraction], shift: int, den: int, *pairs: tuple[int, dict, dict]) -> tuple[int, int]:
     """sum(sign * A(y) * B(y)) / den at y_i = vals[i], exactly, as ints (num, scale).
 
-    The point evaluator beside `_pair_products`, on the same signed pairs of
+    The point evaluator beside `pair_products`, on the same signed pairs of
     integer slices over k = len(vals) variables.  Each y_i must be
     n_i / 2^shift for an int n_i, else ValueError.  A monomial y^w counts as
     prod(n_i for i in w) * 2^(shift * (k - |w|)), so the value is num / scale
@@ -409,40 +366,22 @@ def pair_value(vals: Sequence[Fraction], shift: int, den: int, *pairs: tuple[int
     return num, den << 2 * shift * k
 
 
-def multiply_disjoint(p: SubsetPoly, q: SubsetPoly) -> SubsetPoly:
-    """Product of multiaffine polynomials on disjoint ground sets."""
+def multiply_disjoint(p: _TermPoly, q: _TermPoly) -> _TermPoly:
+    """Product of two polynomials of one kind on disjoint ground sets."""
+    if type(p) is not type(q):
+        raise TypeError("disjoint products need two polynomials of one kind")
     if set(p.ground.labels) & set(q.ground.labels):
         raise ValueError("ground sets overlap")
-    ground = GroundSet(p.ground.labels + q.ground.labels)
     shift = p.ground.m
-    out: dict[int, object] = {}
-    for w1, c1 in p.terms.items():
-        for w2, c2 in q.terms.items():
-            key = w1 | (w2 << shift)
+    key = p._key
+    right = [(s2 << shift, q2 << shift, c2) for s2, q2, c2 in q.monomials()]
+    out: dict = {}
+    for s1, q1, c1 in p.monomials():
+        for s2, q2, c2 in right:
+            k = key(s1 | s2, q1 | q2)
             c = c1 * c2
-            if key in out:
-                out[key] = out[key] + c
-            else:
-                out[key] = c
-    return SubsetPoly(ground, out)
-
-
-def quad_multiply_disjoint(p: QuadPoly, q: QuadPoly) -> QuadPoly:
-    """Product of degree-two polynomials on disjoint ground sets."""
-    if set(p.ground.labels) & set(q.ground.labels):
-        raise ValueError("ground sets overlap")
-    ground = GroundSet(p.ground.labels + q.ground.labels)
-    shift = p.ground.m
-    out: dict[tuple[int, int], object] = {}
-    for (s1, q1), c1 in p.terms.items():
-        for (s2, q2), c2 in q.terms.items():
-            key = (s1 | (s2 << shift), q1 | (q2 << shift))
-            c = c1 * c2
-            if key in out:
-                out[key] = out[key] + c
-            else:
-                out[key] = c
-    return QuadPoly(ground, out)
+            out[k] = out[k] + c if k in out else c
+    return type(p)(GroundSet(p.ground.labels + q.ground.labels), out)
 
 
 def rayleigh_diff(z: SubsetPoly, e: str, f: str) -> QuadPoly:
@@ -452,14 +391,14 @@ def rayleigh_diff(z: SubsetPoly, e: str, f: str) -> QuadPoly:
     correlated for every positive external field.  Rational coefficients only.
     """
     sub, den, pairs = rayleigh_pairs(z, e, f)
-    return _pair_products(sub, den, *pairs)
+    return pair_products(sub, den, *pairs)
 
 
 def rayleigh_pairs(z: SubsetPoly, e: str, f: str) -> tuple[GroundSet, int, tuple]:
     """The ground set minus {e, f}, L^2 and the two signed pairs of rayleigh_diff.
 
     The slices are Z scaled by the lcm L of its denominators, so
-    sum(sign * A * B) is L^2 times the pair difference.  `_pair_products`
+    sum(sign * A * B) is L^2 times the pair difference.  `pair_products`
     multiplies them out; `pair_value` evaluates them at a point.
     """
     if e == f:
@@ -504,7 +443,7 @@ def theta(z: SubsetPoly, e: str, f: str, g: str) -> QuadPoly:
     Rational coefficients only.
     """
     sub, den, pairs, _, _ = triple_pairs(z, e, f, g)
-    return _pair_products(sub, den, *pairs)
+    return pair_products(sub, den, *pairs)
 
 
 def triple_pairs(z: SubsetPoly, e: str, f: str, g: str) -> tuple[GroundSet, int, tuple, tuple, tuple]:

@@ -153,10 +153,8 @@ def contract_slice(mp: ModelPoly, label: str) -> SubsetPoly:
 
 @dataclass(frozen=True)
 class SliceReport:
-    """Deletion/contraction slices of a Potts polynomial plus identity checks."""
+    """Identity checks on the deletion/contraction slices of a Potts polynomial."""
 
-    deleted: ModelPoly
-    contracted: ModelPoly
     identities: dict
 
 
@@ -184,14 +182,9 @@ def potts_slices(mp: ModelPoly, label: str) -> SliceReport:
 
     del_poly = mp.poly.delete(label)
     con_poly = contract_slice(mp, label)
-    del_minor = matroid.delete(label)
-    con_minor = matroid.contract(label)
-    deleted = ModelPoly(del_poly, mp.model, del_minor)
-    contracted = ModelPoly(con_poly, mp.model, con_minor)
-
     identities: dict = {
-        "deleted_matches_minor": del_poly == potts_poly(del_minor, mp.model.q0).poly,
-        "contracted_matches_minor": con_poly == potts_poly(con_minor, mp.model.q0).poly,
+        "deleted_matches_minor": del_poly == potts_poly(matroid.delete(label), mp.model.q0).poly,
+        "contracted_matches_minor": con_poly == potts_poly(matroid.contract(label), mp.model.q0).poly,
     }
 
     if mp.model.symbolic:
@@ -231,7 +224,7 @@ def potts_slices(mp: ModelPoly, label: str) -> SliceReport:
         quot = _divide_one_minus_q(del_poly - con_poly, mp.model)
         identities["spanned_sum"] = quot == SubsetPoly(sub, spanned)
 
-    return SliceReport(deleted=deleted, contracted=contracted, identities=identities)
+    return SliceReport(identities=identities)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .matroids import Matroid
 from .polynomials import (
@@ -33,12 +33,12 @@ from .polynomials import (
     SymSeq,
     canonical_ground,
     elementary_values,
+    pair_products,
     pair_value,
     rayleigh_diff,
     rayleigh_pairs,
     symmetrize,
     symseq_to_poly,
-    theta,
     triple_pairs,
 )
 from .prng import DEFAULT_SEED, DENOMINATOR_BITS, SplitMix64, derive, log_uniform_fraction, sample_point
@@ -61,19 +61,13 @@ class SquareCertificate:
                 raise ValueError("certificate squares must be nonzero")
 
     def expand(self, ground) -> QuadPoly:
-        total = QuadPoly.zero(ground)
+        out: dict[tuple[int, int], Fraction] = {}
         for lam, a, b in self.terms:
+            lam = Fraction(lam)
             wa, wb = ground.word(a), ground.word(b)
-            square = QuadPoly(
-                ground,
-                {
-                    (wa, wa): Fraction(lam),
-                    (wb, wb): Fraction(lam),
-                },
-            )
-            cross = QuadPoly(ground, {(wa | wb, wa & wb): Fraction(-2) * lam})
-            total = total + square + cross
-        return total
+            for key, c in (((wa, wa), lam), ((wb, wb), lam), ((wa | wb, wa & wb), -2 * lam)):
+                out[key] = out.get(key, 0) + c
+        return QuadPoly(ground, out)
 
 
 @dataclass(frozen=True)
@@ -195,18 +189,9 @@ def scalar_pair_diff(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction
     Shares the slice kernel with the sampler but neither the pair-product
     kernel nor the point evaluator; used to re-check refutation witnesses.
     """
-    return sliced_pair_diff(z, e, f)(point)
-
-
-def sliced_pair_diff(z: SubsetPoly, e: str, f: str) -> Callable[[Mapping[str, Fraction]], Fraction]:
-    """`scalar_pair_diff` as a function of the point, with the four slices cut once."""
     ze = z.contract(e)
     ze_f, zf_e, zef, znone = ze.delete(f), z.contract(f).delete(e), ze.contract(f), z.delete(e).delete(f)
-
-    def at(point: Mapping[str, Fraction]) -> Fraction:
-        return ze_f.evaluate(point) * zf_e.evaluate(point) - zef.evaluate(point) * znone.evaluate(point)
-
-    return at
+    return ze_f.evaluate(point) * zf_e.evaluate(point) - zef.evaluate(point) * znone.evaluate(point)
 
 
 def check_pair(z: SubsetPoly, e: str, f: str, strategy: Strategy) -> RayleighVerdict:
@@ -601,22 +586,14 @@ def triple_condition_check(
         raise TypeError("triple check needs rational coefficients")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, not {samples}")
-    th = theta(z, e, f, g)
-    diff_del = rayleigh_diff(z.delete(g), e, f)
-    diff_con = rayleigh_diff(z.contract(g), e, f)
-    # decomposition: diff = diff_del + y_g theta + y_g^2 diff_con
-    full = rayleigh_diff(z, e, f)
-    sub = full.ground
-    rebuilt = (
-        diff_del.embedded(sub)
-        + th.embedded(sub).times_variable(g, 1)
-        + diff_con.embedded(sub).times_variable(g, 2)
-    )
-    decomposition_ok = rebuilt == full
+    # decomposition: diff = diff_del + y_g theta + y_g^2 diff_con, where the
+    # three parts are the kernel run on the slices the slack below reads
+    sub, den, theta_pairs, del_pairs, con_pairs = triple_pairs(z, e, f, g)
+    parts = tuple(pair_products(sub, den, *pairs) for pairs in (del_pairs, theta_pairs, con_pairs))
+    decomposition_ok = rayleigh_diff(z, e, f).split_at(g) == parts
 
     # theta and both differences carry one positive scale S, so the slack is
     # compared on ints times S^2: t * S where theta >= 0, else 4ac - t^2
-    sub, den, theta_pairs, del_pairs, con_pairs = triple_pairs(z, e, f, g)
     rng = SplitMix64(seed)
     holds = True
     least: int | None = None

@@ -103,12 +103,6 @@ class LaurentQ:
             return 0
         return self.min_exponent + len(self.coeffs) - 1
 
-    def coefficient(self, k: int) -> Fraction:
-        i = k - self.min_exponent
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
     # ring operations ----------------------------------------------------
 
     def __bool__(self) -> bool:

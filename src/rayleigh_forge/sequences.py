@@ -225,7 +225,6 @@ class ConvolutionRecord:
     lhs: Fraction
     rhs: Fraction
     equal: bool
-    c_window: tuple[Fraction, Fraction, Fraction]
 
 
 def _term_view(x: "Seq | Sequence[Fraction]"):
@@ -267,7 +266,7 @@ def convolution_identity(
             left = a_at(n + j) * a_at(n + k) - a_at(n + j - 1) * a_at(n + k + 1)
             right = b_at(j) * b_at(k) - b_at(j - 1) * b_at(k + 1)
             rhs += left * right
-    return ConvolutionRecord(n, lhs, rhs, lhs == rhs, (c_prev, c_mid, c_next))
+    return ConvolutionRecord(n, lhs, rhs, lhs == rhs)
 
 
 def convolve(a: Seq, b: Seq) -> Seq:

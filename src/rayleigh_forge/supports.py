@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .matroids import SetSystem, exchange_axiom_witness
 from .polynomials import GroundSet, SubsetPoly
-from .prng import SplitMix64
 from .words import bit_positions, popcount
 
 
@@ -119,56 +118,37 @@ def is_convex_delta_matroid(system: SetSystem) -> bool:
     return is_convex(system) and sea_check(system)
 
 
-LOG_SUBMODULAR_EXHAUSTIVE_LIMIT = 10
+def log_submodular_witness(z: SubsetPoly) -> tuple[int, int] | None:
+    """A pair (S, T) with coeff(S)coeff(T) < coeff(S∩T)coeff(S∪T); None if there is none.
 
-
-def log_submodular_witness(
-    z: SubsetPoly, seed: int = 0xD1CE, random_pairs: int = 20000
-) -> tuple[int, int] | None:
-    """A pair (S, T) with coeff(S)coeff(T) < coeff(S∩T)coeff(S∪T); None if none found.
-
-    Exhaustive for m <= 10.  A violation needs positive weight on both the
+    Exhaustive at every m.  A violation needs positive weight on both the
     meet and the join, so it suffices to scan member pairs C ⊆ U of the
     support and every split of U∖C into the two private parts; every subset
-    pair (S, T) arises exactly once this way.  Above the limit, seeded random
-    subset pairs only (result then one-sided: None is not a proof).
+    pair (S, T) arises exactly once this way, and the cost depends on the
+    support, not on m.
     """
-    weights = {}
-    for w, c in z.terms.items():
+    weights = z.terms  # zeros are already dropped
+    for c in weights.values():
         if not isinstance(c, Fraction):
             raise TypeError("log-submodularity needs rational coefficients")
         if c < 0:
             raise ValueError("negative coefficient")
-        if c:
-            weights[w] = c
-    m = z.ground.m
-    if m <= LOG_SUBMODULAR_EXHAUSTIVE_LIMIT:
-        for cw, base in weights.items():
-            for uw, top in weights.items():
-                if cw & uw != cw:
-                    continue
-                rhs = base * top
-                free = uw & ~cw
-                sub = free
-                while True:
-                    s_word = cw | sub
-                    t_word = uw ^ sub
-                    lhs = weights.get(s_word, Fraction(0)) * weights.get(t_word, Fraction(0))
-                    if lhs < rhs:
-                        return (s_word, t_word)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & free
-        return None
-    rng = SplitMix64(seed)
-    full = z.ground.full
-    for _ in range(random_pairs):
-        s_word = rng.next_u64() & full
-        t_word = rng.next_u64() & full
-        lhs = weights.get(s_word, Fraction(0)) * weights.get(t_word, Fraction(0))
-        rhs = weights.get(s_word & t_word, Fraction(0)) * weights.get(s_word | t_word, Fraction(0))
-        if lhs < rhs:
-            return (s_word, t_word)
+    for cw, base in weights.items():
+        for uw, top in weights.items():
+            if cw & uw != cw:
+                continue
+            rhs = base * top
+            free = uw & ~cw
+            sub = free
+            while True:
+                s_word = cw | sub
+                t_word = uw ^ sub
+                lhs = weights.get(s_word, Fraction(0)) * weights.get(t_word, Fraction(0))
+                if lhs < rhs:
+                    return (s_word, t_word)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & free
     return None
 
 

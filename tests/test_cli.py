@@ -221,7 +221,7 @@ class TestRayleighCheck:
 
 class TestPottsBuild:
     def test_symbolic(self, files, capsys):
-        code, report = run_json(files, ["potts", "build", files["u32"], "--symbolic"], capsys)
+        code, report = run_json(files, ["potts", "build", files["u32"]], capsys)
         assert code == 0
         terms = report["results"]["terms"]
         assert len(terms) == 8
@@ -274,6 +274,14 @@ class TestDelta:
         code, report = run_json(files, ["delta", "check", files["corr"]], capsys)
         assert code == 1
         assert report["results"]["convex"] is False
+
+    def test_log_submodular_exhaustive_above_ten(self, files, capsys):
+        # w(a)w(b) = 1 < 2 = w(empty)w(ab) on 11 elements
+        path = files["dir"] / "eleven.weights"
+        path.write_text("elements: a,b,c,d,e,f,g,h,i,j,k\n- : 1\na : 1\nb : 1\na,b : 2\n")
+        code, report = run_json(files, ["delta", "check", path], capsys)
+        assert code == 1
+        assert report["results"]["log_submodular"] is False
 
 
 class TestSeq:
@@ -355,6 +363,10 @@ class TestUsageErrors:
     def test_no_args(self, capsys):
         assert run([]) == 3
 
+    def test_removed_options_are_unknown(self, files, capsys):
+        assert run(["rayleigh", "check", files["k4"], "--threads", "4"]) == 3
+        assert run(["potts", "build", files["u32"], "--symbolic"]) == 3
+
     def test_ambiguous_edge_labels(self, tmp_path, capsys):
         # `a:b` and `c,d` would make the pair key `a:b,c,d` ambiguous
         bad = tmp_path / "bad.graph"
@@ -402,9 +414,3 @@ class TestDeterminism:
         wb = b["results"]["verdicts"]["x,y"]["witness"]
         assert wa != wb
 
-    def test_threads_do_not_change_verdicts(self, files, capsys):
-        _, seq = run_json(files, ["rayleigh", "check", files["k4"], "--strategy",
-                                  "sample", "--samples", "10"], capsys)
-        _, par = run_json(files, ["rayleigh", "check", files["k4"], "--strategy",
-                                  "sample", "--samples", "10", "--threads", "4"], capsys)
-        assert seq["results"]["verdicts"] == par["results"]["verdicts"]

@@ -15,7 +15,7 @@ from rayleigh_forge.fileio import (
     parse_weight_file,
     poly_payload,
 )
-from rayleigh_forge.polynomials import GroundSet, SubsetPoly, rayleigh_diff
+from rayleigh_forge.polynomials import GroundSet, QuadPoly, SubsetPoly, rayleigh_diff
 from rayleigh_forge.scalars import LaurentQ, format_rat
 
 F = Fraction
@@ -205,3 +205,15 @@ class TestPayloads:
         quad = rayleigh_diff(z, "a", "b")
         payload = poly_payload(quad)
         assert all(set(entry) == {"support", "squared", "coeff"} for entry in payload)
+
+    def test_poly_payload_quad_order(self):
+        # sorted by (support word, squared word), whatever the insertion order
+        g = GroundSet(("a", "b"))
+        quad = QuadPoly(g, {(3, 1): F(2), (1, 0): F(-1), (3, 0): F(5), (0, 0): F(4), (2, 2): F(1, 3)})
+        assert poly_payload(quad) == [
+            {"support": [], "squared": [], "coeff": "4"},
+            {"support": ["a"], "squared": [], "coeff": "-1"},
+            {"support": ["b"], "squared": ["b"], "coeff": "1/3"},
+            {"support": ["a", "b"], "squared": [], "coeff": "5"},
+            {"support": ["a", "b"], "squared": ["a"], "coeff": "2"},
+        ]

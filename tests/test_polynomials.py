@@ -28,6 +28,7 @@ from rayleigh_forge.polynomials import (
     theta,
 )
 from rayleigh_forge.prng import SplitMix64, sample_point
+from rayleigh_forge.scalars import LaurentQ
 
 F = Fraction
 
@@ -47,6 +48,16 @@ def monomial_symmetric_assemble(ground: GroundSet, coeffs) -> QuadPoly:
                 key = (sup, sum(1 << i for i in sq_elems))
                 terms[key] = terms.get(key, F(0)) + c
     return QuadPoly(ground, terms)
+
+
+@st.composite
+def quad_polys(draw, labels: tuple[str, ...]) -> QuadPoly:
+    """Random QuadPoly on the labels with signed, non-dyadic coefficients."""
+    full = (1 << len(labels)) - 1
+    keys = draw(st.lists(st.integers(0, full).flatmap(
+        lambda sup: st.integers(0, full).map(lambda sq: (sup, sq & sup))), max_size=8))
+    coeffs = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 3, 7)))
+    return QuadPoly(GroundSet(labels), {k: draw(coeffs) for k in keys})
 
 
 def rand_poly(rng: SplitMix64, m: int, signed: bool = False) -> SubsetPoly:
@@ -165,6 +176,34 @@ class TestMultiplication:
         with pytest.raises(ValueError):
             multiply_disjoint(z, z)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_multiply_disjoint_quad_by_evaluation(self, data):
+        p = data.draw(quad_polys(("a1", "a2")))
+        q = data.draw(quad_polys(("b1", "b2")))
+        prod = multiply_disjoint(p, q)
+        assert isinstance(prod, QuadPoly)
+        assert prod.ground.labels == ("a1", "a2", "b1", "b2")
+        point = sample_point(SplitMix64(data.draw(st.integers(0, 2**64 - 1))), prod.ground.labels)
+        assert prod.evaluate(point) == p.evaluate(point) * q.evaluate(point)
+
+    def test_multiply_disjoint_laurent_coefficients(self):
+        q_inv = LaurentQ.q_power(-1)
+        p = SubsetPoly(GroundSet(("a1", "a2")), {0: F(1), 1: q_inv, 3: LaurentQ.q_power(-2)})
+        q = SubsetPoly(GroundSet(("b1",)), {0: F(3), 1: 1 - q_inv})
+        prod = multiply_disjoint(p, q)
+        assert prod.coeff(0b111) == LaurentQ.q_power(-2) * (1 - q_inv)
+        point = sample_point(SplitMix64(23), prod.ground.labels)
+        assert prod.evaluate(point) == p.evaluate(point) * q.evaluate(point)
+
+    def test_multiply_disjoint_rejects_mixed_kinds(self):
+        z = SubsetPoly(GroundSet(("a",)), {1: F(1)})
+        quad = QuadPoly(GroundSet(("b",)), {(1, 1): F(1)})
+        with pytest.raises(TypeError):
+            multiply_disjoint(z, quad)
+        with pytest.raises(TypeError):
+            multiply_disjoint(quad, z)
+
 
 class TestQuadPoly:
     def test_key_validation(self):
@@ -172,11 +211,26 @@ class TestQuadPoly:
         with pytest.raises(ValueError):
             QuadPoly(g, {(1, 2): F(1)})  # squared var outside support
 
-    def test_times_variable_and_slices(self):
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_split_at_parts(self, data):
+        labels = ("a", "b", "c", "d")
+        p = data.draw(quad_polys(labels))
+        g = data.draw(st.sampled_from(labels))
+        parts = p.split_at(g)
+        sub = p.ground.without(g)
+        assert all(part.ground == sub for part in parts)
+        point = sample_point(SplitMix64(data.draw(st.integers(0, 2**64 - 1))), labels)
+        y = point[g]
+        rest = {lab: v for lab, v in point.items() if lab != g}
+        p0, p1, p2 = (part.evaluate(rest) for part in parts)
+        assert p.evaluate(point) == p0 + y * p1 + y * y * p2
+
+    def test_repr_prints_squares(self):
         g = GroundSet(("a", "b"))
-        p = QuadPoly(g, {(1, 0): F(2)})
-        lifted = p.times_variable("b", 2)
-        assert lifted.terms == {(3, 2): F(2)}
+        p = QuadPoly(g, {(3, 1): F(2), (2, 0): F(1), (0, 0): F(-1, 3)})
+        assert repr(p) == "QuadPoly(-1/3*1 + y[b] + 2*y[a]^2*y[b])"
+        assert repr(QuadPoly.zero(g)) == "QuadPoly(0)"
 
     def test_collapse_equal_variables(self):
         g = GroundSet(("a", "b"))

@@ -266,7 +266,9 @@ def potts_matroids(draw):
     if op == "dual":
         return base.dual()
     if op == "parallel" and labels:
-        counts = draw(st.lists(st.integers(1, 3), min_size=len(labels), max_size=len(labels)))
+        # at most 12 elements: the 2^m enumerations stay fast and under their caps
+        most = max(1, min(3, 12 // len(labels)))
+        counts = draw(st.lists(st.integers(1, most), min_size=len(labels), max_size=len(labels)))
         return parallel_extend(base, dict(zip(labels, counts)))
     glues = [lab for lab in labels if not base.is_loop(lab) and not base.is_coloop(lab)]
     if op == "two_sum" and glues:

@@ -9,6 +9,7 @@ from rayleigh_forge.corpus import k4_certificates
 from rayleigh_forge.matroids import complete_graph, graphic_matroid, uniform_matroid
 from rayleigh_forge.polynomials import (
     GroundSet,
+    QuadPoly,
     SubsetPoly,
     SymSeq,
     rayleigh_diff,
@@ -339,6 +340,20 @@ class TestTriple:
         z = symseq_to_poly(SymSeq((F(0), F(1), F(0), F(0))))
         report = triple_condition_check(z, "1", "2", "3", samples=5, seed=1)
         assert report.decomposition_ok and report.holds
+
+    def test_decomposition_mismatch_reported(self, monkeypatch):
+        # one extra constant term in the full pair difference must show
+        z = model_poly(graphic_matroid(complete_graph(4)), Model("independent")).poly
+        real = rayleigh.rayleigh_diff
+
+        def skewed(z, e, f):
+            diff = real(z, e, f)
+            return diff + QuadPoly(diff.ground, {(0, 0): F(1)})
+
+        monkeypatch.setattr(rayleigh, "rayleigh_diff", skewed)
+        report = triple_condition_check(z, "1", "6", "2", samples=5, seed=8)
+        assert not report.decomposition_ok
+        assert report.holds
 
     def test_zero_samples_refused(self):
         # holds over zero points would be vacuous
