@@ -253,14 +253,16 @@ def _cmd_matroid(args, seed: int, digests) -> tuple[int, dict]:
 
 
 def _cmd_rayleigh(args, seed: int, digests) -> tuple[int, dict]:
+    if args.certificate is not None and args.strategy != "cert":
+        raise InputFormatError("--certificate needs --strategy cert")
+    if args.certificate is not None and args.pair is None:
+        raise InputFormatError("--certificate needs --pair to say which pair it certifies")
     z = _as_poly(_load_input(args.path, digests), args.model, args.q)
     if args.strategy == "coeff":
         strategy = CoeffStrategy()
     elif args.strategy == "sample":
         strategy = SampleStrategy(samples=args.samples, seed=seed)
     else:
-        if args.certificate is not None and args.pair is None:
-            raise InputFormatError("--certificate needs --pair to say which pair it certifies")
         certs = {}
         if args.certificate is not None:
             pair = _parse_pair(args.pair, z)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .matroids import Graph, SetSystem
-from .polynomials import GroundSet, QuadPoly, SubsetPoly
+from .polynomials import GroundSet, QuadPoly, SubsetPoly, from_weights
 from .rayleigh import SquareCertificate
 from .scalars import LaurentQ, format_rat, parse_rat
 
@@ -90,7 +90,10 @@ def parse_weight_file(text: str) -> SubsetPoly:
             terms[word] = parse_rat(parts[1])
         except ValueError as exc:
             raise InputFormatError(str(exc)) from None
-    return SubsetPoly(ground, terms)
+    try:
+        return from_weights(ground, terms)
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from None
 
 
 def parse_graph_file(text: str) -> Graph:
@@ -180,10 +183,9 @@ def coeff_payload(c):
 
 
 def laurent_payload(value: LaurentQ) -> dict:
-    return {
-        "min_exponent": value.min_exponent,
-        "coeffs": [format_rat(c) for c in value.coeffs],
-    }
+    """Dense wire form: coeffs[i] multiplies q^(min_exponent + i); zeros inside the span are "0"."""
+    lo, hi = min(value.terms, default=0), max(value.terms, default=-1)
+    return {"min_exponent": lo, "coeffs": [format_rat(value.terms.get(k, 0)) for k in range(lo, hi + 1)]}
 
 
 def poly_payload(p: SubsetPoly | QuadPoly) -> list[dict]:

@@ -156,7 +156,7 @@ class _TermPoly:
             raise ValueError("ground sets differ")
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out[k] + c if k in out else c
         return type(self)(self.ground, out)
 
     def __sub__(self, other):

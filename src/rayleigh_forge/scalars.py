@@ -6,16 +6,16 @@ denominator, arbitrary precision).  `parse_rat`/`format_rat` fix the "p/q"
 wire format used by files and JSON reports.
 
 `LaurentQ` is a Laurent polynomial in one indeterminate q with Fraction
-coefficients, stored densely over its exponent span.  Spans that occur in
-practice are tiny (bounded by a matroid rank), so density is free and keeps
-the arithmetic obvious.  The zero value is the empty span.
+coefficients, stored sparsely as a map from exponent to nonzero coefficient.
+Symbolic Potts weights are single terms q^(-rank S), and the slice and
+two-sum identities built from them stay a few terms long.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Mapping
 
 
 def clear_denominators(values: Iterable) -> tuple[list[int], int]:
@@ -53,166 +53,90 @@ def _as_fraction(value) -> Fraction:
 
 
 class LaurentQ:
-    """Laurent polynomial in q over exact rationals.
+    """Laurent polynomial in q over exact rationals: `terms` maps each
+    exponent to its nonzero coefficient, and zero is the empty map."""
 
-    Coefficients are stored densely: coeffs[i] multiplies q**(min_exponent+i).
-    Both ends of the stored span are nonzero; zero is the empty tuple with
-    min_exponent 0.
-    """
+    __slots__ = ("terms",)
 
-    __slots__ = ("min_exponent", "coeffs")
-
-    def __init__(self, min_exponent: int = 0, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        lo = 0
-        hi = len(cs)
-        while lo < hi and cs[lo] == 0:
-            lo += 1
-        while hi > lo and cs[hi - 1] == 0:
-            hi -= 1
-        if lo == hi:
-            self.min_exponent = 0
-            self.coeffs = ()
-        else:
-            self.min_exponent = min_exponent + lo
-            self.coeffs = tuple(cs[lo:hi])
-
-    @classmethod
-    def zero(cls) -> "LaurentQ":
-        return cls()
-
-    @classmethod
-    def constant(cls, c) -> "LaurentQ":
-        return cls(0, (_as_fraction(c),))
+    def __init__(self, terms: Mapping[int, Fraction | int]):
+        self.terms = {k: _as_fraction(c) for k, c in terms.items() if c}
 
     @classmethod
     def q_power(cls, k: int, c=1) -> "LaurentQ":
-        return cls(k, (_as_fraction(c),))
+        return cls({k: c})
 
     @classmethod
     def coerce(cls, value) -> "LaurentQ":
-        if isinstance(value, LaurentQ):
-            return value
-        return cls.constant(_as_fraction(value))
-
-    # span helpers -------------------------------------------------------
-
-    @property
-    def max_exponent(self) -> int:
-        if not self.coeffs:
-            return 0
-        return self.min_exponent + len(self.coeffs) - 1
-
-    # ring operations ----------------------------------------------------
+        return value if isinstance(value, LaurentQ) else cls({0: value})
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     def __neg__(self) -> "LaurentQ":
-        return LaurentQ(self.min_exponent, tuple(-c for c in self.coeffs))
+        return LaurentQ({k: -c for k, c in self.terms.items()})
 
     def __add__(self, other) -> "LaurentQ":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentQ.coerce(other)
-        elif not isinstance(other, LaurentQ):
-            return NotImplemented
-        if not self:
+        other = _lift(other)
+        if other is NotImplemented:
             return other
-        if not other:
-            return self
-        lo = min(self.min_exponent, other.min_exponent)
-        hi = max(self.max_exponent, other.max_exponent)
-        out = [Fraction(0)] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.min_exponent + i - lo] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.min_exponent + i - lo] += c
-        return LaurentQ(lo, out)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
+        return LaurentQ(out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentQ.coerce(other)
-        elif not isinstance(other, LaurentQ):
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        return LaurentQ.coerce(other) - self
+        return -self + other
 
     def __mul__(self, other) -> "LaurentQ":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0 or not self:
-                return LaurentQ.zero()
-            return LaurentQ(self.min_exponent, tuple(c * x for x in self.coeffs))
-        if not isinstance(other, LaurentQ):
-            return NotImplemented
-        if not self or not other:
-            return LaurentQ.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return LaurentQ(self.min_exponent + other.min_exponent, out)
+        other = _lift(other)
+        if other is NotImplemented:
+            return other
+        out: dict[int, Fraction] = {}
+        for i, a in self.terms.items():
+            for j, b in other.terms.items():
+                k, c = i + j, a * b
+                out[k] = out[k] + c if k in out else c
+        return LaurentQ(out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentQ.coerce(other)
-        if not isinstance(other, LaurentQ):
-            return NotImplemented
-        return self.min_exponent == other.min_exponent and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.min_exponent, self.coeffs))
-
-    # evaluation and division --------------------------------------------
+        other = _lift(other)
+        return other if other is NotImplemented else self.terms == other.terms
 
     def evaluate(self, q0) -> Fraction:
-        """Exact value at a nonzero rational q0.
-
-        q0 = 0 is rejected when negative exponents are present (a pole).
-        """
+        """Exact value at a rational q0; q0 = 0 is a pole when negative exponents are present."""
         q0 = _as_fraction(q0)
-        if q0 == 0 and self.min_exponent < 0:
+        if q0 == 0 and any(k < 0 for k in self.terms):
             raise ValueError("evaluation at q = 0 with negative exponents present")
-        total = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                total += c * q0 ** (self.min_exponent + i)
-        return total
+        return sum((c * q0**k for k, c in self.terms.items()), Fraction(0))
 
     def divide_by_one_minus_q(self) -> "LaurentQ":
         """Exact quotient self / (1 - q); raises if the division leaves a remainder."""
-        if not self:
-            return LaurentQ.zero()
-        # (1 - q) * W = V  with both sides aligned at V's lowest exponent
-        # forces w_i = v_0 + ... + v_i; exactness means the full sum is 0.
-        prefix = []
+        # (1 - q) * W = V forces w_k = v_lo + ... + v_k over V's span, and
+        # exactness means the full sum, the would-be w_hi, is 0.
+        terms = self.terms
+        out: dict[int, Fraction] = {}
         acc = Fraction(0)
-        for c in self.coeffs:
-            acc += c
-            prefix.append(acc)
-        if acc != 0:
+        for k in range(min(terms, default=0), max(terms, default=0) + 1):
+            acc += terms.get(k, 0)
+            out[k] = acc
+        if acc:
             raise ValueError("not divisible by (1 - q)")
-        return LaurentQ(self.min_exponent, prefix[:-1])
+        return LaurentQ(out)
 
     def __repr__(self) -> str:
         return f"LaurentQ({self})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            k = self.min_exponent + i
+        for k in sorted(self.terms):
+            c = self.terms[k]
             if k == 0:
                 parts.append(format_rat(c))
             else:
@@ -223,4 +147,11 @@ class LaurentQ:
                     parts.append(f"-{mag}")
                 else:
                     parts.append(f"{format_rat(c)}*{mag}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+def _lift(value):
+    """A rational operand as a constant LaurentQ; NotImplemented for any other type."""
+    if isinstance(value, (int, Fraction)):
+        return LaurentQ.coerce(value)
+    return value if isinstance(value, LaurentQ) else NotImplemented

@@ -1,11 +1,13 @@
 import json
 import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from rayleigh_forge import polynomials, rayleigh
-from rayleigh_forge.cli import main
+from rayleigh_forge.cli import _build_parser, main
 from rayleigh_forge.scalars import parse_rat
 from rayleigh_forge.words import popcount
 
@@ -65,6 +67,47 @@ z : 1
 
 K4_CERT = "1 : 2,5 | 3,4\n"
 
+# weight files that are not nonnegative weight functions with nonempty support
+NEGATIVE_WEIGHTS = "elements: a,b\n- : 1\na : -1\nb : 1\na,b : 1\n"
+ZERO_WEIGHTS = "elements: a,b\n- : 0\na : 0\nb : 0\na,b : 0\n"
+
+# (support, exponent) of every term q^exponent of the symbolic `potts build`
+# report for K4, in report order; recorded from the dense `LaurentQ` layout,
+# whose report bytes the sparse one keeps
+K4_POTTS_TERMS = [
+    ("", 0), ("1", -1), ("2", -1), ("12", -2), ("3", -1), ("13", -2), ("23", -2), ("123", -3),
+    ("4", -1), ("14", -2), ("24", -2), ("124", -2), ("34", -2), ("134", -3), ("234", -3), ("1234", -3),
+    ("5", -1), ("15", -2), ("25", -2), ("125", -3), ("35", -2), ("135", -2), ("235", -3), ("1235", -3),
+    ("45", -2), ("145", -3), ("245", -3), ("1245", -3), ("345", -3), ("1345", -3), ("2345", -3), ("12345", -3),
+    ("6", -1), ("16", -2), ("26", -2), ("126", -3), ("36", -2), ("136", -3), ("236", -2), ("1236", -3),
+    ("46", -2), ("146", -3), ("246", -3), ("1246", -3), ("346", -3), ("1346", -3), ("2346", -3), ("12346", -3),
+    ("56", -2), ("156", -3), ("256", -3), ("1256", -3), ("356", -3), ("1356", -3), ("2356", -3), ("12356", -3),
+    ("456", -2), ("1456", -3), ("2456", -3), ("12456", -3), ("3456", -3), ("13456", -3), ("23456", -3),
+    ("123456", -3),
+]
+
+# the symbolic `twosum --model potts` of the two triangles glued along g
+TWOSUM_POTTS_TERMS = [
+    ("", 0), ("a1", -1), ("a2", -1), ("a1,a2", -2), ("b1", -1), ("a1,b1", -2), ("a2,b1", -2),
+    ("a1,a2,b1", -3), ("b2", -1), ("a1,b2", -2), ("a2,b2", -2), ("a1,a2,b2", -3), ("b1,b2", -2),
+    ("a1,b1,b2", -3), ("a2,b1,b2", -3), ("a1,a2,b1,b2", -3),
+]
+TWOSUM_POTTS_STDOUT = (
+    "16 terms under the potts model\n"
+    "(1)*1 + (q^-1)*y[a1] + (q^-1)*y[a2] + (q^-1)*y[b1] + (q^-1)*y[b2] + (q^-2)*y[a1]*y[a2]"
+    " + (q^-2)*y[a1]*y[b1] + (q^-2)*y[a2]*y[b1] + (q^-2)*y[a1]*y[b2] + (q^-2)*y[a2]*y[b2]"
+    " + (q^-2)*y[b1]*y[b2] + (q^-3)*y[a1]*y[a2]*y[b1] + (q^-3)*y[a1]*y[a2]*y[b2]"
+    " + (q^-3)*y[a1]*y[b1]*y[b2] + (q^-3)*y[a2]*y[b1]*y[b2] + (q^-3)*y[a1]*y[a2]*y[b1]*y[b2]\n"
+)
+
+
+def single_term_payload(terms):
+    """Report entries for (support labels, exponent) pairs with coefficient q^exponent."""
+    return [
+        {"support": labels, "squared": [], "coeff": {"min_exponent": k, "coeffs": ["1"]}}
+        for labels, k in terms
+    ]
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -82,6 +125,8 @@ def files(tmp_path):
         "corr": write("corr.weights", CORR_WEIGHTS),
         "corr3": write("corr3.weights", CORR3_WEIGHTS),
         "cert": write("k4.cert", K4_CERT),
+        "neg": write("neg.weights", NEGATIVE_WEIGHTS),
+        "zero": write("zero.weights", ZERO_WEIGHTS),
         "dir": tmp_path,
     }
 
@@ -218,6 +263,19 @@ class TestRayleighCheck:
     def test_potts_model_needs_q(self, files):
         assert run(["rayleigh", "check", files["k4"], "--model", "potts"]) == 3
 
+    def test_certificate_needs_cert_strategy(self, files, capsys):
+        missing = files["dir"] / "missing.cert"
+        code = run(["rayleigh", "check", files["k4"], "--model", "indep", "--pair", "1,6",
+                    "--certificate", missing])
+        assert code == 3
+        assert "--certificate needs --strategy cert" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy", ["coeff", "sample"])
+    @pytest.mark.parametrize("name", ["neg", "zero"])
+    def test_weight_file_must_be_a_weight_function(self, files, capsys, name, strategy):
+        assert run(["rayleigh", "check", files[name], "--strategy", strategy]) == 3
+        assert re.search("negative weight|empty support", capsys.readouterr().err)
+
 
 class TestPottsBuild:
     def test_symbolic(self, files, capsys):
@@ -233,6 +291,13 @@ class TestPottsBuild:
         assert code == 0
         full = next(t for t in report["results"]["terms"] if len(t["support"]) == 3)
         assert full["coeff"] == "4"
+
+    def test_symbolic_k4_golden(self, files, capsys):
+        code, report = run_json(files, ["potts", "build", files["k4"]], capsys)
+        assert code == 0
+        assert report["results"]["q_mode"] == "symbolic"
+        terms = [(list(labels), k) for labels, k in K4_POTTS_TERMS]
+        assert report["results"]["terms"] == single_term_payload(terms)
 
     def test_q_and_symbolic_conflict(self, files):
         assert run(["potts", "build", files["u32"], "--q", "1/2", "--symbolic"]) == 3
@@ -264,6 +329,25 @@ class TestTwoSum:
 
     def test_bad_glue(self, files):
         assert run(["twosum", files["tri"], files["tri2"], "--glue", "a1"]) == 3
+
+    def test_symbolic_potts_golden(self, files, capsys):
+        out = files["dir"] / "twosum.json"
+        code = run(["twosum", files["tri"], files["tri2"], "--glue", "g", "--model", "potts",
+                    "--json", out])
+        assert code == 0
+        assert capsys.readouterr().out == TWOSUM_POTTS_STDOUT
+        results = json.loads(out.read_text())["results"]
+        terms = [(labels.split(",") if labels else [], k) for labels, k in TWOSUM_POTTS_TERMS]
+        assert results == {"glue": "g", "model": "potts", "q": None, "terms": single_term_payload(terms)}
+
+    def test_symbolic_potts_weight_side_not_divisible(self, files, tmp_path, capsys):
+        # a weight-file side has constant coefficients, so its slice gap
+        # L^g - L_g is not divisible by 1 - q in symbolic q
+        left = tmp_path / "l.weights"
+        left.write_text("elements: a,g\n- : 1\na : 2\ng : 2\na,g : 2\n")
+        code = run(["twosum", left, files["tri2"], "--glue", "g", "--model", "potts"])
+        assert code == 3
+        assert "not divisible by (1 - q)" in capsys.readouterr().err
 
 
 class TestDelta:
@@ -393,6 +477,21 @@ class TestUsageErrors:
         argv = [files.get(a, a) for a in argv]
         assert run(argv) == 3
         assert "must be at least 1" in capsys.readouterr().err
+
+
+def readme_commands() -> list[str]:
+    """The `rayleigh-forge ...` lines of README's command-line block, continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("rayleigh-forge ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) == 11
+    parser = _build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 class TestDeterminism:

@@ -14,7 +14,7 @@ LABELS = tuple("abcdefgh")
 # mixed denominators, so no common scale hides a wrong factor
 RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 POSITIVE = st.fractions(min_value=F(1, 12), max_value=16, max_denominator=12)
-LAURENT = st.builds(LaurentQ, st.integers(-3, 3), st.lists(RATIONALS, max_size=3))
+LAURENT = st.builds(LaurentQ, st.dictionaries(st.integers(-3, 3), RATIONALS, max_size=3))
 
 
 @st.composite
