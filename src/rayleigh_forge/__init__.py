@@ -39,12 +39,9 @@ from .polynomials import (
     GroundSet,
     QuadPoly,
     SubsetPoly,
-    SymSeq,
     from_weights,
     mmatrix_weights,
     rayleigh_diff,
-    symmetrize,
-    symseq_to_poly,
     theta,
 )
 from .potts import (
@@ -86,6 +83,8 @@ from .sequences import (
     convolve,
     mason_report,
     seq_from_values,
+    symmetrize,
+    symseq_to_poly,
 )
 from .supports import (
     SupportProfile,

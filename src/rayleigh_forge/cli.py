@@ -26,7 +26,7 @@ from .fileio import (
     parse_weight_file,
     poly_payload,
 )
-from .matroids import Matroid, graphic_matroid, invariant_sequences, matroid_from_bases
+from .matroids import InvariantSequences, Matroid, graphic_matroid, invariant_sequences, matroid_from_bases
 from .polynomials import SubsetPoly, poly_text
 from .potts import Model, ModelPoly, model_poly, potts_poly, twosum_compose
 from .prng import DEFAULT_SEED
@@ -227,11 +227,9 @@ _STATUS_EXIT = {"verified": EXIT_PASS, "refuted": EXIT_FAIL, "inconclusive": EXI
 # --- command handlers --------------------------------------------------------------
 
 
-def _cmd_matroid(args, seed: int, digests) -> tuple[int, dict]:
-    matroid = _require_matroid(_load_input(args.path, digests), "matroid info")
-    fixed = tuple(s.strip() for s in args.fixed.split(",")) if args.fixed else None
-    inv = invariant_sequences(matroid, fixed=fixed)
-    results = {
+def _invariant_payload(inv: InvariantSequences) -> dict:
+    """The report keys that `matroid info` and `mason` share."""
+    return {
         "m": inv.m,
         "r": inv.r,
         "independent": list(inv.I),
@@ -239,6 +237,15 @@ def _cmd_matroid(args, seed: int, digests) -> tuple[int, dict]:
         "charpoly_magnitudes": list(inv.chi),
         "h_vector": [format_rat(h) for h in inv.h],
         "h_integral": inv.h_integral,
+    }
+
+
+def _cmd_matroid(args, seed: int, digests) -> tuple[int, dict]:
+    matroid = _require_matroid(_load_input(args.path, digests), "matroid info")
+    fixed = tuple(s.strip() for s in args.fixed.split(",")) if args.fixed else None
+    inv = invariant_sequences(matroid, fixed=fixed)
+    results = {
+        **_invariant_payload(inv),
         "loopless": inv.loopless,
         "fixed_counts": list(inv.c) if inv.c is not None else None,
     }
@@ -390,19 +397,13 @@ def _cmd_mason(args, seed: int, digests) -> tuple[int, dict]:
     matroid = _require_matroid(_load_input(args.path, digests), "mason")
     report = mason_report(matroid)
     results = {
-        "m": report.m,
-        "r": report.r,
-        "independent": list(report.independent),
-        "flats_by_rank": list(report.flats_by_rank),
-        "charpoly_magnitudes": list(report.charpoly_magnitudes),
-        "h_vector": [format_rat(h) for h in report.h_vector],
-        "h_integral": report.h_integral,
+        **_invariant_payload(report.inv),
         "conditions": {k: v.holds for k, v in sorted(report.conditions.items())},
         "h_log_concave": report.h_log_concave,
         "h_lym_nonincreasing": report.h_lym_nonincreasing,
         "conjectured_ok": report.conjectured_ok,
     }
-    print(f"independent-set counts: {', '.join(map(str, report.independent))}")
+    print(f"independent-set counts: {', '.join(map(str, report.inv.I))}")
     for k, v in sorted(report.conditions.items()):
         print(f"{k}: {'holds' if v.holds else 'fails'}")
     print(f"h-vector log-concave: {report.h_log_concave}")

@@ -36,15 +36,12 @@ from .matroids import (
 from .polynomials import (
     GroundSet,
     SubsetPoly,
-    SymSeq,
     mmatrix_weights,
     monomial_symmetric_expand,
     multiply_disjoint,
     pair_value,
     rayleigh_diff,
     rayleigh_pairs,
-    symmetrize,
-    symseq_to_poly,
 )
 from .potts import (
     Model,
@@ -66,7 +63,15 @@ from .rayleigh import (
     negative_association_check,
     triple_condition_check,
 )
-from .sequences import Seq, check_condition, convolution_identity, convolve, seq_from_values
+from .sequences import (
+    Seq,
+    check_condition,
+    convolution_identity,
+    convolve,
+    seq_from_values,
+    symmetrize,
+    symseq_to_poly,
+)
 from .supports import (
     disjoint_pair_exchange_witness,
     exchange_props_check,
@@ -234,7 +239,7 @@ def _item_gamma_window_table(ctx: CorpusContext) -> tuple[bool, str]:
         checks.append(holds(gamma, "a0") == (gamma != 0))
 
     def normalized_diff(gamma: Fraction):
-        z = symseq_to_poly(SymSeq((F(1), F(2), F(4), gamma, F(4), F(2), F(1))))
+        z = symseq_to_poly(seq_from_values([1, 2, 4, gamma, 4, 2, 1], m=6))
         return rayleigh_diff(z, "1", "2")
 
     def mono_nonneg(gamma: Fraction) -> bool:
@@ -417,7 +422,7 @@ def _item_symmetric_equivalence_fuzz(ctx: CorpusContext) -> tuple[bool, str]:
         ]
         if all(e == 0 for e in entries):
             entries[rng.below(m + 1)] = Fraction(1)
-        seq = SymSeq(entries)
+        seq = Seq(0, tuple(entries), m)
         verdict = exchangeable_check(seq)
         z = symseq_to_poly(seq)
         mono = monomial_symmetric_expand(rayleigh_diff(z, "1", "2"))
@@ -536,8 +541,7 @@ def _item_window_flatten_equivalence(ctx: CorpusContext) -> tuple[bool, str]:
     witnesses = 0
     rebuilt = 0
     for name, z in cases:
-        s, r, sums = size_window_sums(z)
-        window = Seq(s, tuple(sums))
+        window = size_window_sums(z)
         window_ok = bool(check_condition(window, "a0")) and bool(check_condition(window, "a2"))
         profile = flattened_fresh_profile(z)
         verdict = exchangeable_check(profile)
@@ -545,12 +549,12 @@ def _item_window_flatten_equivalence(ctx: CorpusContext) -> tuple[bool, str]:
             mismatches.append((name, "equivalence"))
         if verdict.refuted and verdict.witness is not None:
             witnesses += 1
-        if r > s and z.ground.m <= 6 and _flatten_size_estimate(z) <= 400:
+        if window.r > window.s and z.ground.m <= 6 and _flatten_size_estimate(z) <= 400:
             rebuilt += 1
             flat = flatten(z).weights
             for lab in z.ground.labels:
                 flat = flat.delete(lab) + flat.contract(lab)
-            if tuple(symmetrize(flat).entries) != tuple(profile.entries):
+            if symmetrize(flat) != profile:
                 mismatches.append((name, "flatten-profile"))
     detail = (
         f"{len(cases)} weight functions; {witnesses} window refutations re-evaluated; "

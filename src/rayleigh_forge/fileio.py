@@ -8,7 +8,8 @@ Three line-oriented input formats, all label-based:
   bases     header `elements: a,b,c`, then one comma-separated basis per line
 
 Certificates are their own small format: each line `p/q : A | B` contributes
-the term lambda (y^A - y^B)^2 with lambda = p/q > 0.
+the term lambda (y^A - y^B)^2 with lambda = p/q > 0; no label repeats within A
+or within B.
 
 Blank lines and full-line `#` comments are ignored everywhere.  Labels used
 in files must not contain whitespace, commas, colons, or pipes.
@@ -150,9 +151,12 @@ def parse_certificate_file(text: str) -> SquareCertificate:
         sides = parts[1].split("|")
         if len(sides) != 2:
             raise InputFormatError(f"expected two `|`-separated subsets in {line!r}")
-        a = frozenset(_parse_labels(sides[0].strip(), "certificate"))
-        b = frozenset(_parse_labels(sides[1].strip(), "certificate"))
-        terms.append((lam, a, b))
+        a, b = (_parse_labels(side.strip(), "certificate") for side in sides)
+        for labels in (a, b):
+            repeated = [lab for i, lab in enumerate(labels) if lab in labels[:i]]
+            if repeated:
+                raise InputFormatError(f"repeated label {repeated[0]!r} in certificate")
+        terms.append((lam, frozenset(a), frozenset(b)))
     try:
         return SquareCertificate(tuple(terms))
     except ValueError as exc:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import comb
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -468,57 +467,7 @@ def triple_pairs(z: SubsetPoly, e: str, f: str, g: str) -> tuple[GroundSet, int,
     return sub, den * den, theta_pairs, _diff_pairs(s, be, bf, zero=bg), _diff_pairs(s, be, bf, keep=bg)
 
 
-# --- exchangeable machinery --------------------------------------------------
-
-
-class SymSeq:
-    """Coefficient sequence of an exchangeable polynomial sum(a_k e_k(y), k=0..m)."""
-
-    __slots__ = ("m", "entries")
-
-    def __init__(self, entries: Iterable[Fraction]):
-        entries = tuple(Fraction(c) if isinstance(c, int) else c for c in entries)
-        if not entries:
-            raise ValueError("empty sequence")
-        for c in entries:
-            if not isinstance(c, Fraction):
-                raise TypeError("entries must be exact rationals")
-        self.entries = entries
-        self.m = len(entries) - 1
-
-    def __eq__(self, other):
-        return isinstance(other, SymSeq) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"SymSeq({[format_rat(c) for c in self.entries]})"
-
-
-def symmetrize(z: SubsetPoly) -> SymSeq:
-    """Averaged size-k weights a_k = f_k / C(m, k) of the symmetrized polynomial."""
-    if not z.is_rational():
-        raise TypeError("symmetrization needs rational coefficients")
-    m = z.ground.m
-    sums = [Fraction(0)] * (m + 1)
-    for w, c in z.terms.items():
-        sums[popcount(w)] += c
-    return SymSeq(sums[k] / comb(m, k) for k in range(m + 1))
-
-
-def symseq_to_poly(seq: SymSeq, ground: GroundSet | None = None) -> SubsetPoly:
-    """Expand sum(a_k e_k) into an explicit multiaffine polynomial."""
-    if ground is None:
-        ground = canonical_ground(seq.m)
-    if ground.m != seq.m:
-        raise ValueError("ground set size does not match the sequence")
-    terms = {}
-    for w in ground.subsets():
-        c = seq.entries[popcount(w)]
-        if c:
-            terms[w] = c
-    return SubsetPoly(ground, terms)
+# --- symmetric functions ------------------------------------------------------
 
 
 def elementary_values(values: list[Fraction]) -> list[Fraction]:

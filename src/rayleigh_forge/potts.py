@@ -23,6 +23,7 @@ from .matroids import Matroid, enumerate_family, rank_table
 from .polynomials import GroundSet, SubsetPoly, _slice_bits, multiply_disjoint
 from .prng import derive, sample_point, unit_fraction
 from .scalars import LaurentQ, clear_denominators
+from .sequences import Seq
 from .words import compress, expand, popcount
 
 MODEL_KINDS = ("bases", "independent", "spanning", "potts")
@@ -94,14 +95,12 @@ def model_poly(matroid: Matroid, model: Model) -> ModelPoly:
     return ModelPoly(SubsetPoly(matroid.ground, terms), model, matroid)
 
 
-def uniform_potts_symseq(m: int, r: int, q0: Fraction):
-    """Exchangeable shortcut for uniform matroids: a_k = q0^(-min(r, k))."""
-    from .polynomials import SymSeq
-
+def uniform_potts_symseq(m: int, r: int, q0: Fraction) -> Seq:
+    """Exchangeable shortcut for uniform matroids: a_k = q0^(-min(r, k)), k = 0..m."""
     q0 = Fraction(q0)
     if q0 <= 0:
         raise ValueError("q0 must be positive")
-    return SymSeq(q0 ** (-min(r, k)) for k in range(m + 1))
+    return Seq(0, tuple(q0 ** (-min(r, k)) for k in range(m + 1)), m)
 
 
 # --- slices -------------------------------------------------------------------

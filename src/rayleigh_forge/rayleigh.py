@@ -30,20 +30,18 @@ from .matroids import Matroid
 from .polynomials import (
     QuadPoly,
     SubsetPoly,
-    SymSeq,
     canonical_ground,
     elementary_values,
     pair_products,
     pair_value,
     rayleigh_diff,
     rayleigh_pairs,
-    symmetrize,
-    symseq_to_poly,
     triple_pairs,
 )
+from .potts import potts_poly, uniform_potts_symseq
 from .prng import DEFAULT_SEED, DENOMINATOR_BITS, SplitMix64, derive, log_uniform_fraction, sample_point
 from .scalars import clear_denominators, format_rat
-from .sequences import Seq, check_condition
+from .sequences import Seq, check_condition, symmetrize, symseq_to_poly
 from .words import compress, term_value
 
 
@@ -309,26 +307,24 @@ def check_all(z: SubsetPoly, strategy: Strategy) -> PairSweep:
 # --- exchangeable weights -------------------------------------------------------
 
 
-def exchangeable_check(seq: SymSeq, find_witness: bool = True) -> RayleighVerdict:
-    """Exact Rayleigh test for exchangeable weights.
+def exchangeable_check(seq: Seq, find_witness: bool = True) -> RayleighVerdict:
+    """Exact Rayleigh test for the exchangeable weights sum(a_k e_k) of `seq`.
 
     An exchangeable partition function is Rayleigh iff its coefficient
     sequence is log-concave with no internal zeros: the ladder conditions a0
     and a2 of `sequences.check_condition`.  Refutations carry the first a0
-    violation, else the first a2 one; for small m an explicit refuting point
-    is also found by pushing the other variables toward 0/infinity along a
-    dyadic ladder.
+    violation, else the first a2 one, as an index k in 0..m; for small m an
+    explicit refuting point is also found by pushing the other variables
+    toward 0/infinity along a dyadic ladder.
     """
-    a = seq.entries
     m = seq.m
-    if any(c < 0 for c in a):
-        raise ValueError("entries must be nonnegative")
-    if not any(a):
+    if m is None:
+        raise ValueError("exchangeable weights need the ambient size m")
+    if not any(seq.entries):
         raise ValueError("sequence is identically zero")
-    ladder = Seq(0, a)
-    bad = check_condition(ladder, "a0").witness
+    bad = check_condition(seq, "a0").witness
     if bad is None:
-        bad = check_condition(ladder, "a2").witness
+        bad = check_condition(seq, "a2").witness
     if bad is None:
         return RayleighVerdict("verified", method="exchangeable")
     witness = value = pair = None
@@ -339,7 +335,7 @@ def exchangeable_check(seq: SymSeq, find_witness: bool = True) -> RayleighVerdic
     return RayleighVerdict("refuted", pair=pair, witness=witness, value=value, index=bad)
 
 
-def _exchangeable_witness(seq: SymSeq, k: int):
+def _exchangeable_witness(seq: Seq, k: int):
     """Explicit negative point for a log-concavity violation at index k."""
     m = seq.m
     ground = canonical_ground(m)
@@ -365,7 +361,7 @@ def _exchangeable_witness(seq: SymSeq, k: int):
 
 @dataclass(frozen=True)
 class SymmetrizationReport:
-    symmetrized: SymSeq
+    symmetrized: Seq
     base_sweep: PairSweep
     symmetrized_verdict: RayleighVerdict
     counterexample: bool
@@ -645,8 +641,6 @@ def estimate_qc(
     budget: int = 128,
     seed: int = DEFAULT_SEED,
 ) -> QcBracket:
-    from .potts import potts_poly, uniform_potts_symseq
-
     if resolution < 1:
         raise ValueError(f"resolution must be at least 1, not {resolution}")
     if budget < 1:

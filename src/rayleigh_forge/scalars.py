@@ -44,7 +44,8 @@ def format_rat(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _as_fraction(value) -> Fraction:
+def as_fraction(value) -> Fraction:
+    """An int or Fraction as a Fraction; any other type is a TypeError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -59,7 +60,7 @@ class LaurentQ:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, Fraction | int]):
-        self.terms = {k: _as_fraction(c) for k, c in terms.items() if c}
+        self.terms = {k: as_fraction(c) for k, c in terms.items() if c}
 
     @classmethod
     def q_power(cls, k: int, c=1) -> "LaurentQ":
@@ -111,7 +112,7 @@ class LaurentQ:
 
     def evaluate(self, q0) -> Fraction:
         """Exact value at a rational q0; q0 = 0 is a pole when negative exponents are present."""
-        q0 = _as_fraction(q0)
+        q0 = as_fraction(q0)
         if q0 == 0 and any(k < 0 for k in self.terms):
             raise ValueError("evaluation at q = 0 with negative exponents present")
         return sum((c * q0**k for k, c in self.terms.items()), Fraction(0))

@@ -1,6 +1,12 @@
-"""Log-concavity ladder for finite nonnegative sequences, with exact root counting.
+"""Exact coefficient sequences: the log-concavity ladder and exchangeable weights.
 
-The conditions, weakest useful first:
+A `Seq` is a finite nonnegative rational sequence a_s .. a_r.  With its
+ambient size m set it is also an exchangeable weight function, the
+polynomial sum(a_k e_k(y), k = 0..m) in m variables: `symmetrize` averages a
+weight function over subset sizes into one, and `symseq_to_poly` expands one
+into an explicit multiaffine polynomial.
+
+The ladder conditions, weakest useful first:
 
   a0  no internal zeros (support is an interval)
   a1  unimodal, plateaus allowed
@@ -17,35 +23,33 @@ Sturm chain rather than numeric root finding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial, gcd
 from typing import Iterable, Sequence
 
-from .matroids import Matroid, comb_frac, invariant_sequences
-from .scalars import clear_denominators
+from .matroids import InvariantSequences, Matroid, comb_frac, invariant_sequences
+from .polynomials import GroundSet, SubsetPoly, canonical_ground
+from .scalars import as_fraction, clear_denominators
+from .words import popcount
 
 CONDITIONS = ("a0", "a1", "a2", "a3", "a4", "a5", "a6")
 
 
-def _rational(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected a rational entry, got {type(x).__name__}")
-
-
 @dataclass(frozen=True)
 class Seq:
-    """Nonnegative rational entries a_s .. a_r, with an optional ambient size m."""
+    """Nonnegative rational entries a_s .. a_r, with an optional ambient size m.
+
+    With m set, the sequence is also the exchangeable weight function
+    sum(a_k e_k(y), k = 0..m), zero outside s..r.
+    """
 
     offset: int
     entries: tuple[Fraction, ...]
     m: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(_rational(x) for x in self.entries))
+        object.__setattr__(self, "entries", tuple(map(as_fraction, self.entries)))
         if self.offset < 0:
             raise ValueError("offset must be nonnegative")
         if not self.entries:
@@ -72,7 +76,7 @@ class Seq:
 
 
 def seq_from_values(values: Iterable, m: int | None = None, offset: int = 0) -> Seq:
-    return Seq(offset, tuple(_rational(v) for v in values), m)
+    return Seq(offset, tuple(values), m)
 
 
 @dataclass(frozen=True)
@@ -85,13 +89,13 @@ class ConditionVerdict:
         return self.holds
 
 
-def _log_concavity(seq: Seq, weight) -> ConditionVerdict:
+def _log_concavity(seq: Seq, cond: str, weight) -> ConditionVerdict:
     # weighted entries b_k = weight(k) * a_k; check b_k^2 >= b_{k-1} b_{k+1}
     vals = [weight(seq.offset + i) * a for i, a in enumerate(seq.entries)]
     for i in range(1, len(vals) - 1):
         if vals[i] * vals[i] < vals[i - 1] * vals[i + 1]:
-            return ConditionVerdict("a2", False, seq.offset + i)
-    return ConditionVerdict("a2", True)
+            return ConditionVerdict(cond, False, seq.offset + i)
+    return ConditionVerdict(cond, True)
 
 
 def check_condition(seq: Seq, cond: str) -> ConditionVerdict:
@@ -114,21 +118,17 @@ def check_condition(seq: Seq, cond: str) -> ConditionVerdict:
                 return ConditionVerdict(cond, False, seq.offset + i)
         return ConditionVerdict(cond, True)
     if cond == "a2":
-        v = _log_concavity(seq, lambda k: Fraction(1))
-        return ConditionVerdict(cond, v.holds, v.witness)
+        return _log_concavity(seq, cond, lambda k: Fraction(1))
     if cond == "a3":
-        v = _log_concavity(seq, lambda k: Fraction(factorial(k)))
-        return ConditionVerdict(cond, v.holds, v.witness)
+        return _log_concavity(seq, cond, lambda k: Fraction(factorial(k)))
     if cond == "a4":
         if seq.m is None:
             raise ValueError("condition a4 needs the ambient size m")
         m = seq.m
-        v = _log_concavity(seq, lambda k: 1 / comb_frac(m, k))
-        return ConditionVerdict(cond, v.holds, v.witness)
+        return _log_concavity(seq, cond, lambda k: 1 / comb_frac(m, k))
     if cond == "a5":
         r = seq.r
-        v = _log_concavity(seq, lambda k: 1 / comb_frac(r, k))
-        return ConditionVerdict(cond, v.holds, v.witness)
+        return _log_concavity(seq, cond, lambda k: 1 / comb_frac(r, k))
     if cond == "a6":
         return ConditionVerdict(cond, _real_rooted(seq))
     raise ValueError(f"unknown condition {cond!r}")
@@ -136,6 +136,36 @@ def check_condition(seq: Seq, cond: str) -> ConditionVerdict:
 
 def check_many(seq: Seq, conds: Sequence[str]) -> dict[str, ConditionVerdict]:
     return {c: check_condition(seq, c) for c in conds}
+
+
+# --- exchangeable weights ------------------------------------------------------------
+
+
+def symmetrize(z: SubsetPoly) -> Seq:
+    """Averaged size-k weights a_k = f_k / C(m, k) of the symmetrized polynomial, as Seq(0, a, m)."""
+    if not z.is_rational():
+        raise TypeError("symmetrization needs rational coefficients")
+    m = z.ground.m
+    sums = [Fraction(0)] * (m + 1)
+    for w, c in z.terms.items():
+        sums[popcount(w)] += c
+    return Seq(0, tuple(sums[k] / comb_frac(m, k) for k in range(m + 1)), m)
+
+
+def symseq_to_poly(seq: Seq, ground: GroundSet | None = None) -> SubsetPoly:
+    """Expand sum(a_k e_k) over the m variables of `seq` into an explicit multiaffine polynomial."""
+    if seq.m is None:
+        raise ValueError("an exchangeable expansion needs the ambient size m")
+    if ground is None:
+        ground = canonical_ground(seq.m)
+    if ground.m != seq.m:
+        raise ValueError("ground set size does not match the sequence")
+    terms = {}
+    for w in ground.subsets():
+        c = seq.at(popcount(w))
+        if c:
+            terms[w] = c
+    return SubsetPoly(ground, terms)
 
 
 # --- a6: one fraction-free Sturm chain ------------------------------------------------
@@ -285,13 +315,10 @@ def convolve(a: Seq, b: Seq) -> Seq:
 
 @dataclass(frozen=True)
 class MasonReport:
-    m: int
-    r: int
-    independent: tuple[int, ...]
-    flats_by_rank: tuple[int, ...]
-    charpoly_magnitudes: tuple[int, ...]
-    h_vector: tuple[Fraction, ...]
-    h_integral: bool
+    """The ladder on I_k (rungs renamed i0..i5) and the h-vector tests, beside the
+    counting sequences `inv` they were read from."""
+
+    inv: InvariantSequences
     conditions: dict[str, ConditionVerdict]
     h_log_concave: bool
     h_lym_nonincreasing: bool
@@ -311,11 +338,8 @@ class MasonReport:
 
 def mason_report(matroid: Matroid) -> MasonReport:
     inv = invariant_sequences(matroid)
-    iseq = Seq(0, tuple(Fraction(x) for x in inv.I), m=inv.m)
-    conditions = {
-        f"i{j}": ConditionVerdict(f"i{j}", *_strip(check_condition(iseq, f"a{j}")))
-        for j in range(6)
-    }
+    iseq = Seq(0, inv.I, m=inv.m)
+    conditions = {f"i{j}": replace(check_condition(iseq, f"a{j}"), condition=f"i{j}") for j in range(6)}
     h_ok = all(x >= 0 for x in inv.h)
     if h_ok:
         hseq = Seq(0, inv.h, m=inv.m)
@@ -326,19 +350,4 @@ def mason_report(matroid: Matroid) -> MasonReport:
         inv.h[k] / comb_frac(inv.m, k) >= inv.h[k + 1] / comb_frac(inv.m, k + 1)
         for k in range(inv.r)
     )
-    return MasonReport(
-        m=inv.m,
-        r=inv.r,
-        independent=inv.I,
-        flats_by_rank=inv.W,
-        charpoly_magnitudes=inv.chi,
-        h_vector=inv.h,
-        h_integral=inv.h_integral,
-        conditions=conditions,
-        h_log_concave=h_log,
-        h_lym_nonincreasing=h_lym,
-    )
-
-
-def _strip(v: ConditionVerdict) -> tuple[bool, int | None]:
-    return v.holds, v.witness
+    return MasonReport(inv=inv, conditions=conditions, h_log_concave=h_log, h_lym_nonincreasing=h_lym)

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .matroids import SetSystem, exchange_axiom_witness
 from .polynomials import GroundSet, SubsetPoly
+from .sequences import Seq
 from .words import bit_positions, popcount
 
 
@@ -166,7 +168,7 @@ class FlattenRecord:
     ground: GroundSet
     fresh: tuple[str, ...]
     system: SetSystem
-    weights: SubsetPoly | None
+    weights: SubsetPoly
     exchange_ok: bool
     exchange_witness: tuple | None
 
@@ -179,25 +181,18 @@ def _fresh_labels(ground: GroundSet, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(1, count + 1))
 
 
-def flatten(source: SubsetPoly | SetSystem) -> FlattenRecord:
-    """Pad every member up to the maximum size r with fresh elements.
+def flatten(z: SubsetPoly) -> FlattenRecord:
+    """Pad every support member up to the maximum size r with fresh elements.
 
     The flattened system { S ∪ F : |S ∪ F| = r, S a member } is homogeneous;
-    for a convex delta-matroid it satisfies basis exchange.  From a weight
-    function, the padded weights keep the original coefficient on every
-    completion, which matches multiplying each size-k layer by the
-    elementary symmetric polynomial e_{r-k} of the fresh variables.
+    for a convex delta-matroid it satisfies basis exchange.  The padded
+    weights keep the original coefficient on every completion, which matches
+    multiplying each size-k layer by the elementary symmetric polynomial
+    e_{r-k} of the fresh variables.  A set system flattens as its unit weights.
     """
-    weights_in: SubsetPoly | None = source if isinstance(source, SubsetPoly) else None
-    if weights_in is not None:
-        profile = support(weights_in)
-        system, ground = profile.support, profile.ground
-        r, s = profile.r, profile.s
-    else:
-        system, ground = source, source.ground
-        sizes = [popcount(w) for w in system.members]
-        r, s = max(sizes), min(sizes)
-    ell = r - s
+    profile = support(z)
+    ground, r = profile.ground, profile.r
+    ell = r - profile.s
     if ground.m + ell > 30:
         raise ValueError("flattening overflows the 30-element ground cap")
     fresh = _fresh_labels(ground, ell)
@@ -206,11 +201,10 @@ def flatten(source: SubsetPoly | SetSystem) -> FlattenRecord:
     flat_terms: dict[int, Fraction] = {}
     flat_members: list[int] = []
     fresh_bits = [flat_ground.bit(lab) for lab in fresh]
-    for w in system.members:
-        need = r - popcount(w)
-        coeff = weights_in.coeff(w) if weights_in is not None else Fraction(1)
-        for pick in _bit_combinations(fresh_bits, need):
-            padded = w | pick
+    for w in profile.support.members:
+        coeff = z.coeff(w)
+        for pick in combinations(fresh_bits, r - popcount(w)):
+            padded = w | sum(pick)
             flat_members.append(padded)
             flat_terms[padded] = coeff
     flat_system = SetSystem(flat_ground, tuple(flat_members))
@@ -219,47 +213,27 @@ def flatten(source: SubsetPoly | SetSystem) -> FlattenRecord:
         ground=flat_ground,
         fresh=fresh,
         system=flat_system,
-        weights=SubsetPoly(flat_ground, flat_terms) if weights_in is not None else None,
+        weights=SubsetPoly(flat_ground, flat_terms),
         exchange_ok=witness is None,
         exchange_witness=witness,
     )
 
 
-def _bit_combinations(bits: list[int], k: int) -> list[int]:
-    if k < 0 or k > len(bits):
-        return []
-    if k == 0:
-        return [0]
-    out = []
-
-    def rec(start: int, left: int, acc: int):
-        if left == 0:
-            out.append(acc)
-            return
-        for i in range(start, len(bits) - left + 1):
-            rec(i + 1, left - 1, acc | bits[i])
-
-    rec(0, k, 0)
-    return out
-
-
-def size_window_sums(z: SubsetPoly) -> tuple[int, int, list[Fraction]]:
-    """(s, r, [f_s..f_r]): total weight per support size over the support window."""
+def size_window_sums(z: SubsetPoly) -> Seq:
+    """Seq(s, [f_s..f_r], m): total weight per support size over the support window."""
     profile = support(z)
     sums = [Fraction(0)] * (profile.r - profile.s + 1)
     for w, c in z.terms.items():
         if c:
             sums[popcount(w) - profile.s] += c
-    return profile.s, profile.r, sums
+    return Seq(profile.s, tuple(sums), z.ground.m)
 
 
-def flattened_fresh_profile(z: SubsetPoly):
+def flattened_fresh_profile(z: SubsetPoly) -> Seq:
     """The flattening with every original variable set to 1, as an exchangeable
-    sequence over the fresh variables: entry j is the size-(r-j) layer sum."""
-    from .polynomials import SymSeq
-
-    s, r, sums = size_window_sums(z)
-    return SymSeq(sums[r - s - j] for j in range(r - s + 1))
+    sequence over the r - s fresh variables: entry j is the size-(r-j) layer sum."""
+    window = size_window_sums(z)
+    return Seq(0, window.entries[::-1], window.r - window.s)
 
 
 # --- layers and exchange consequences ----------------------------------------------

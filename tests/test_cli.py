@@ -66,6 +66,18 @@ z : 1
 """
 
 K4_CERT = "1 : 2,5 | 3,4\n"
+DUP_CERT = "1 : 2,2,5 | 3,4\n"
+
+# the K4 counting sequences that `matroid info` and `mason` report alike
+K4_INVARIANTS = {
+    "m": 6,
+    "r": 3,
+    "independent": [1, 6, 15, 16],
+    "flats_by_rank": [1, 6, 7, 1],
+    "charpoly_magnitudes": [1, 6, 11, 6],
+    "h_vector": ["1", "3", "6", "6"],
+    "h_integral": True,
+}
 
 # weight files that are not nonnegative weight functions with nonempty support
 NEGATIVE_WEIGHTS = "elements: a,b\n- : 1\na : -1\nb : 1\na,b : 1\n"
@@ -125,6 +137,7 @@ def files(tmp_path):
         "corr": write("corr.weights", CORR_WEIGHTS),
         "corr3": write("corr3.weights", CORR3_WEIGHTS),
         "cert": write("k4.cert", K4_CERT),
+        "dup_cert": write("dup.cert", DUP_CERT),
         "neg": write("neg.weights", NEGATIVE_WEIGHTS),
         "zero": write("zero.weights", ZERO_WEIGHTS),
         "dir": tmp_path,
@@ -172,6 +185,11 @@ class TestMatroidInfo:
         assert len(report["inputs"][files["u32"]]) == 64  # sha256 hex
         assert report["results"]["independent"] == [1, 3, 3]
         assert report["results"]["charpoly_magnitudes"] == [1, 3, 2]
+
+    def test_k4_fixed_golden(self, files, capsys):
+        code, report = run_json(files, ["matroid", "info", files["k4"], "--fixed", "1"], capsys)
+        assert code == 0
+        assert report["results"] == {**K4_INVARIANTS, "loopless": True, "fixed_counts": [8, 8]}
 
 
 class TestRayleighCheck:
@@ -238,6 +256,12 @@ class TestRayleighCheck:
             ]
         )
         assert code == 0
+
+    def test_certificate_repeated_label_refused(self, files, capsys):
+        argv = ["rayleigh", "check", files["k4"], "--model", "independent", "--strategy", "cert",
+                "--pair", "1,6", "--certificate", files["dup_cert"]]
+        assert run(argv) == 3
+        assert "repeated label '2' in certificate" in capsys.readouterr().err
 
     def test_cert_requires_pair(self, files, capsys):
         code = run(
@@ -398,6 +422,17 @@ class TestMason:
         assert res["conjectured_ok"] is True
         assert res["conditions"]["i5"] is False
         assert res["h_lym_nonincreasing"] is True
+
+    def test_k4_golden(self, files, capsys):
+        code, report = run_json(files, ["mason", files["k4"]], capsys)
+        assert code == 0
+        assert report["results"] == {
+            **K4_INVARIANTS,
+            "conditions": {"i0": True, "i1": True, "i2": True, "i3": True, "i4": True, "i5": False},
+            "h_log_concave": True,
+            "h_lym_nonincreasing": True,
+            "conjectured_ok": True,
+        }
 
 
 class TestProbe:

@@ -1,0 +1,56 @@
+"""Import layering of the package: every intra-package import sits at module
+top, and the module-level imports form one acyclic order."""
+
+import ast
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+import pytest
+
+import rayleigh_forge
+
+PACKAGE = Path(rayleigh_forge.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def package_targets(node: ast.AST) -> list[str]:
+    """Package modules an import statement reads; `__init__` for names taken from the package itself."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        if node.level == 0:
+            names = [node.module]
+        elif node.module:
+            names = ["rayleigh_forge." + node.module]
+        else:
+            names = ["rayleigh_forge." + alias.name for alias in node.names]
+    else:
+        return []
+    out = []
+    for name in names:
+        parts = name.split(".")
+        if parts[0] == "rayleigh_forge":
+            out.append(parts[1] if len(parts) > 1 and parts[1] in MODULES else "__init__")
+    return out
+
+
+def test_no_import_below_module_top():
+    nested = []
+    for stem, tree in MODULES.items():
+        top = {id(stmt) for stmt in tree.body}
+        for node in ast.walk(tree):
+            if id(node) not in top and package_targets(node):
+                nested.append(f"{stem}.py:{node.lineno}")
+    assert nested == []
+
+
+def test_module_imports_are_acyclic():
+    graph = {
+        stem: {t for stmt in tree.body for t in package_targets(stmt) if t != "__init__"}
+        for stem, tree in MODULES.items()
+        if stem != "__init__"
+    }
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        pytest.fail(f"import cycle: {exc.args[1]}")

@@ -11,7 +11,6 @@ from rayleigh_forge.polynomials import (
     GroundSet,
     QuadPoly,
     SubsetPoly,
-    SymSeq,
     canonical_ground,
     charpoly_exact,
     det_exact,
@@ -23,12 +22,11 @@ from rayleigh_forge.polynomials import (
     multiply_disjoint,
     poly_text,
     rayleigh_diff,
-    symmetrize,
-    symseq_to_poly,
     theta,
 )
 from rayleigh_forge.prng import SplitMix64, sample_point
 from rayleigh_forge.scalars import LaurentQ
+from rayleigh_forge.sequences import Seq, symmetrize, symseq_to_poly
 
 F = Fraction
 
@@ -316,7 +314,7 @@ class TestTheta:
 
 class TestSymmetric:
     def test_symmetrize_inverts_expansion(self):
-        seq = SymSeq((F(1), F(3), F(2)))
+        seq = Seq(0, (F(1), F(3), F(2)), 2)
         assert symmetrize(symseq_to_poly(seq)) == seq
 
     def test_symmetrize_averages(self):

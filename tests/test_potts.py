@@ -17,7 +17,7 @@ from rayleigh_forge.matroids import (
     two_sum,
     uniform_matroid,
 )
-from rayleigh_forge.polynomials import SubsetPoly, symmetrize
+from rayleigh_forge.polynomials import SubsetPoly
 from rayleigh_forge.potts import (
     Model,
     ModelPoly,
@@ -32,6 +32,7 @@ from rayleigh_forge.potts import (
     uniform_potts_symseq,
 )
 from rayleigh_forge.scalars import LaurentQ
+from rayleigh_forge.sequences import symmetrize
 from rayleigh_forge.words import popcount
 
 F = Fraction

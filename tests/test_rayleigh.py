@@ -11,9 +11,7 @@ from rayleigh_forge.polynomials import (
     GroundSet,
     QuadPoly,
     SubsetPoly,
-    SymSeq,
     rayleigh_diff,
-    symseq_to_poly,
 )
 from rayleigh_forge.potts import Model, model_poly, potts_poly, uniform_potts_symseq
 from rayleigh_forge.prng import DEFAULT_SEED, SplitMix64, derive, log_uniform_fraction, sample_point
@@ -34,6 +32,7 @@ from rayleigh_forge.rayleigh import (
     symmetrize_and_check,
     triple_condition_check,
 )
+from rayleigh_forge.sequences import Seq, symseq_to_poly
 
 F = Fraction
 
@@ -187,18 +186,18 @@ class TestCheckAll:
 
 class TestExchangeable:
     def test_log_concave_verified(self):
-        assert exchangeable_check(SymSeq((F(1), F(3), F(3), F(1)))).verified
+        assert exchangeable_check(Seq(0, (F(1), F(3), F(3), F(1)), 3)).verified
 
     def test_violation_index(self):
-        verdict = exchangeable_check(SymSeq((F(1), F(1), F(4), F(1))), find_witness=False)
+        verdict = exchangeable_check(Seq(0, (F(1), F(1), F(4), F(1)), 3), find_witness=False)
         assert verdict.refuted and verdict.index == 1
 
     def test_internal_zero_refuted(self):
-        verdict = exchangeable_check(SymSeq((F(1), F(0), F(1))), find_witness=False)
+        verdict = exchangeable_check(Seq(0, (F(1), F(0), F(1)), 2), find_witness=False)
         assert verdict.refuted and verdict.index == 1
 
     def test_witness_reevaluates_negative(self):
-        seq = SymSeq((F(1), F(1), F(4), F(1)))
+        seq = Seq(0, (F(1), F(1), F(4), F(1)), 3)
         verdict = exchangeable_check(seq)
         assert verdict.witness is not None
         z = symseq_to_poly(seq)
@@ -217,20 +216,20 @@ class TestExchangeable:
 
         monkeypatch.setattr(rayleigh, "pair_value", skewed)
         with pytest.raises(ArithmeticError, match="through the covariance"):
-            exchangeable_check(SymSeq((F(1), F(1), F(4), F(1))))
+            exchangeable_check(Seq(0, (F(1), F(1), F(4), F(1)), 3))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            exchangeable_check(SymSeq((F(1), F(-1), F(1))))
+            exchangeable_check(Seq(0, (F(1), F(-1), F(1)), 2))
         with pytest.raises(ValueError):
-            exchangeable_check(SymSeq((F(0), F(0))))
+            exchangeable_check(Seq(0, (F(0), F(0)), 1))
 
     @given(st.lists(st.integers(1, 9), min_size=2, max_size=7))
     @settings(max_examples=60, deadline=None)
     def test_agreement_with_pair_sweep(self, vals):
         # the exact exchangeable rule must agree with coefficient positivity
         # of every pairwise slice comparison
-        seq = SymSeq(tuple(F(v) for v in vals))
+        seq = Seq(0, tuple(F(v) for v in vals), len(vals) - 1)
         z = symseq_to_poly(seq)
         labels = z.ground.labels
         any_negative = False
@@ -267,10 +266,33 @@ def reference_exchangeable_index(a) -> int | None:
 def test_exchangeable_matches_inline_reference(entries):
     # exchangeable_check reads the ladder's a0 and a2 scans; the inline scans
     # they replaced stay here as the reference for status and index
-    verdict = exchangeable_check(SymSeq(entries), find_witness=False)
+    verdict = exchangeable_check(Seq(0, tuple(entries), len(entries) - 1), find_witness=False)
     bad = reference_exchangeable_index(entries)
     assert verdict.verified == (bad is None)
     assert verdict.index == bad
+
+
+@given(
+    st.integers(0, 3),
+    st.lists(st.fractions(min_value=0, max_value=50, max_denominator=12), min_size=1, max_size=4).filter(any),
+    st.integers(0, 2),
+)
+@settings(max_examples=100, deadline=None)
+def test_exchangeable_offset_matches_reference(offset, entries, extra):
+    # an offset Seq is the sequence a_0..a_m with zeros outside its window
+    seq = Seq(offset, tuple(entries), offset + len(entries) - 1 + extra)
+    verdict = exchangeable_check(seq)
+    bad = reference_exchangeable_index([seq.at(k) for k in range(seq.m + 1)])
+    assert verdict.verified == (bad is None)
+    assert verdict.index == bad
+    if verdict.witness is not None:
+        diff = rayleigh_diff(symseq_to_poly(seq), *verdict.pair)
+        assert diff.evaluate(dict(verdict.witness)) == verdict.value < 0
+
+
+def test_exchangeable_needs_m():
+    with pytest.raises(ValueError, match="ambient size m"):
+        exchangeable_check(Seq(0, (F(1), F(2), F(1))))
 
 
 class TestSymmetrizeAndCheck:
@@ -337,7 +359,7 @@ class TestTriple:
 
     def test_rank_one_slices(self):
         # contracting any variable of y1+y2+y3 kills the pair slices entirely
-        z = symseq_to_poly(SymSeq((F(0), F(1), F(0), F(0))))
+        z = symseq_to_poly(Seq(0, (F(0), F(1), F(0), F(0)), 3))
         report = triple_condition_check(z, "1", "2", "3", samples=5, seed=1)
         assert report.decomposition_ok and report.holds
 

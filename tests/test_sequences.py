@@ -10,6 +10,7 @@ from rayleigh_forge.matroids import (
     graphic_matroid,
     uniform_matroid,
 )
+from rayleigh_forge.polynomials import SubsetPoly, canonical_ground
 from rayleigh_forge.sequences import (
     CONDITIONS,
     Seq,
@@ -20,6 +21,8 @@ from rayleigh_forge.sequences import (
     mason_report,
     seq_from_values,
     sturm_chain,
+    symmetrize,
+    symseq_to_poly,
 )
 
 F = Fraction
@@ -262,6 +265,30 @@ class TestLadder:
         assert all(v.holds for v in out.values())
 
 
+@st.composite
+def exchangeable_seqs(draw):
+    """Nonnegative Seqs with m set, offset and trailing zeros included."""
+    offset = draw(st.integers(0, 3))
+    entries = draw(st.lists(st.fractions(min_value=0, max_value=20, max_denominator=9), min_size=1, max_size=4))
+    return Seq(offset, tuple(entries), offset + len(entries) - 1 + draw(st.integers(0, 2)))
+
+
+class TestExchangeableSeq:
+    @given(exchangeable_seqs())
+    @settings(max_examples=100, deadline=None)
+    def test_symmetrize_inverts_expansion(self, seq):
+        padded = Seq(0, tuple(seq.at(k) for k in range(seq.m + 1)), seq.m)
+        assert symmetrize(symseq_to_poly(seq)) == padded
+
+    def test_expansion_needs_m(self):
+        with pytest.raises(ValueError, match="ambient size m"):
+            symseq_to_poly(Seq(0, (F(1), F(2))))
+
+    def test_symmetrize_refuses_negative_coefficients(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            symmetrize(SubsetPoly(canonical_ground(2), {0: F(1), 1: F(-1)}))
+
+
 def _holds(entries, cond, m=None):
     return check_condition(seq_from_values(entries, m=m), cond).holds
 
@@ -466,16 +493,16 @@ class TestConvolution:
 class TestMasonReport:
     def test_k4(self):
         report = mason_report(graphic_matroid(complete_graph(4)))
-        assert report.independent == (1, 6, 15, 16)
-        assert report.h_vector == (F(1), F(3), F(6), F(6))
-        assert report.h_integral
+        assert report.inv.I == (1, 6, 15, 16)
+        assert report.inv.h == (F(1), F(3), F(6), F(6))
+        assert report.inv.h_integral
         assert report.conjectured_ok
         # the strictest ladder rung is reported but does not gate
         assert not report.conditions["i5"].holds
 
     def test_uniform(self):
         report = mason_report(uniform_matroid(5, 3))
-        assert report.h_vector == (F(1), F(2), F(3), F(4))
+        assert report.inv.h == (F(1), F(2), F(3), F(4))
         assert report.conjectured_ok
         assert report.conditions["i4"].holds
         # the literal h_k/C(m,k) ratio rises at the top here (3/10 < 4/10),
@@ -487,5 +514,5 @@ class TestMasonReport:
 
     def test_cycle(self):
         report = mason_report(graphic_matroid(cycle_graph(4)))
-        assert report.independent == (1, 4, 6, 4)
+        assert report.inv.I == (1, 4, 6, 4)
         assert report.conjectured_ok

@@ -35,6 +35,10 @@ def system_of(ground_labels, member_label_sets) -> SetSystem:
     return SetSystem(g, tuple(g.word(s) for s in member_label_sets))
 
 
+def unit_weights(system: SetSystem) -> SubsetPoly:
+    return SubsetPoly(system.ground, {w: F(1) for w in system.members})
+
+
 class TestSupport:
     def test_zero_coefficients_dropped(self):
         g = GroundSet(("a", "b"))
@@ -127,18 +131,17 @@ class TestFlatten:
 
     def test_prefix_grows_on_collision(self):
         s = system_of(("~1", "b"), [(), ("~1", "b")])
-        record = flatten(s)
+        record = flatten(unit_weights(s))
         assert record.fresh == ("~~1", "~~2")
 
     def test_system_input_has_no_weights(self):
         s = system_of("ab", [("a",), ("a", "b")])
-        record = flatten(s)
-        assert record.weights is None
+        record = flatten(unit_weights(s))
         assert record.exchange_ok
 
     def test_convex_delta_matroid_flattens_to_exchange(self):
         s = enumerate_family(uniform_matroid(4, 2), "independent")
-        record = flatten(s)
+        record = flatten(unit_weights(s))
         assert record.exchange_ok and record.exchange_witness is None
 
     def test_cap_enforced(self):
@@ -153,9 +156,9 @@ class TestWindows:
     def test_size_window_sums(self):
         g = GroundSet(("a", "b", "c"))
         z = SubsetPoly(g, {1: F(2), 2: F(3), 3: F(4), 7: F(5)})
-        s, r, sums = size_window_sums(z)
-        assert (s, r) == (1, 3)
-        assert sums == [F(5), F(4), F(5)]
+        window = size_window_sums(z)
+        assert (window.s, window.r, window.m) == (1, 3, 3)
+        assert window.entries == (F(5), F(4), F(5))
 
     def test_fresh_profile_reverses_layers(self):
         g = GroundSet(("a", "b", "c"))
