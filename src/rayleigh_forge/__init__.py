@@ -21,7 +21,6 @@ from .corpus import (
 from .matroids import (
     Graph,
     Matroid,
-    SetSystem,
     complete_graph,
     cycle_graph,
     enumerate_family,
@@ -78,7 +77,6 @@ from .scalars import LaurentQ, format_rat, parse_rat
 from .sequences import (
     Seq,
     check_condition,
-    check_many,
     convolution_identity,
     convolve,
     mason_report,
@@ -87,7 +85,6 @@ from .sequences import (
     symseq_to_poly,
 )
 from .supports import (
-    SupportProfile,
     exchange_props_check,
     flatten,
     flattened_fresh_profile,
@@ -97,5 +94,4 @@ from .supports import (
     log_submodular_check,
     sea_check,
     size_window_sums,
-    support,
 )

@@ -12,7 +12,6 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -42,7 +41,7 @@ from .rayleigh import (
 )
 from .scalars import format_rat, parse_rat
 from .sequences import CONDITIONS, check_condition, mason_report, seq_from_values
-from .supports import flatten, is_convex, layers, log_submodular_check, sea_check, support
+from .supports import flatten, is_convex, layers, log_submodular_check, sea_check
 from .corpus import run_corpus
 
 _MODEL_NAMES = {
@@ -333,21 +332,19 @@ def _cmd_delta(args, seed: int, digests) -> tuple[int, dict]:
     kind = detect_format(text)
     if kind == "weights":
         z = parse_weight_file(text)
-        system = support(z).support
     elif kind == "bases":
-        system = parse_bases_file(text)
-        z = SubsetPoly(system.ground, {w: Fraction(1) for w in system.members})
+        z = parse_bases_file(text)
     else:
         raise InputFormatError("delta check expects a weight-function or set-system file")
     record = flatten(z)
-    layer_list = layers(system)
+    layer_list = layers(z)
     results = {
-        "convex": is_convex(system),
-        "sea": sea_check(system),
+        "convex": is_convex(z),
+        "sea": sea_check(z),
         "log_submodular": log_submodular_check(z),
         "flatten": {"l": len(record.fresh), "exchange_ok": record.exchange_ok},
         "layers": [
-            {"k": lv.k, "count": len(lv.system.members), "exchange_ok": lv.exchange_ok}
+            {"k": lv.k, "count": len(lv.system.terms), "exchange_ok": lv.exchange_ok}
             for lv in layer_list
         ],
     }
@@ -362,7 +359,7 @@ def _cmd_delta(args, seed: int, digests) -> tuple[int, dict]:
         print(f"{key}: {results[key]}")
     print(f"flatten: l={len(record.fresh)} exchange_ok={record.exchange_ok}")
     for lv in layer_list:
-        print(f"layer k={lv.k}: {len(lv.system.members)} members, exchange_ok={lv.exchange_ok}")
+        print(f"layer k={lv.k}: {len(lv.system.terms)} members, exchange_ok={lv.exchange_ok}")
     return (EXIT_PASS if ok else EXIT_FAIL), results
 
 
@@ -497,9 +494,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         code, results = _HANDLERS[args.command](args, seed, digests)
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

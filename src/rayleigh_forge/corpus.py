@@ -83,7 +83,6 @@ from .supports import (
     log_submodular_witness,
     sea_check,
     size_window_sums,
-    support,
 )
 from .words import popcount
 
@@ -380,25 +379,23 @@ def _item_support_suite(ctx: CorpusContext) -> tuple[bool, str]:
     fails: list[tuple[str, str]] = []
     flattened = 0
     for name, z in verified:
-        profile = support(z)
-        system = profile.support
-        if not is_convex(system):
+        if not is_convex(z):
             fails.append((name, "convexity"))
-        if not sea_check(system):
+        if not sea_check(z):
             fails.append((name, "symmetric-exchange"))
         if log_submodular_witness(z) is not None:
             fails.append((name, "log-submodular"))
         if full_support_check(z) is False:
             fails.append((name, "full-support"))
-        for layer in layers(system):
+        for layer in layers(z):
             if not layer.exchange_ok:
                 fails.append((name, f"layer-{layer.k}"))
         m = z.ground.m
         if m <= 8:
-            report = exchange_props_check(system)
+            report = exchange_props_check(z)
             if not report.all_hold:
                 fails.append((name, "exchange-props"))
-        if m <= 7 and disjoint_pair_exchange_witness(system) is not None:
+        if m <= 7 and disjoint_pair_exchange_witness(z) is not None:
             fails.append((name, "disjoint-pair"))
         if m <= 6 and _flatten_size_estimate(z) <= 400:
             flattened += 1
@@ -517,7 +514,7 @@ def _item_golden_invariant_counts(ctx: CorpusContext) -> tuple[bool, str]:
     k4 = corpus_matroid("graphic-k4")
     inv = invariant_sequences(k4, fixed=("1",))
     checks = [
-        len(enumerate_family(k4, "bases").members) == 16,
+        len(enumerate_family(k4, "bases").terms) == 16,
         inv.I == (1, 6, 15, 16),
         inv.W == (1, 6, 7, 1),
         inv.c == (8, 8),
@@ -601,8 +598,8 @@ def _item_triple_slack_and_association(ctx: CorpusContext) -> tuple[bool, str]:
     for name, z in ctx.polys:
         if z.ground.m != 6:
             continue
-        profile = support(z)
-        if profile.r != profile.s:
+        window = size_window_sums(z)
+        if window.r != window.s:
             continue
         if check_all(z, CoeffStrategy()).all_verified:
             assoc_polys.append((name, z))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .matroids import Graph, SetSystem
+from .matroids import Graph
 from .polynomials import GroundSet, QuadPoly, SubsetPoly, from_weights
 from .rayleigh import SquareCertificate
 from .scalars import LaurentQ, format_rat, parse_rat
@@ -124,7 +124,8 @@ def parse_graph_file(text: str) -> Graph:
         raise InputFormatError(str(exc)) from None
 
 
-def parse_bases_file(text: str) -> SetSystem:
+def parse_bases_file(text: str) -> SubsetPoly:
+    """The listed bases as the support of a unit-weight polynomial."""
     lines = _content_lines(text)
     if not lines:
         raise InputFormatError("empty bases file")
@@ -132,7 +133,7 @@ def parse_bases_file(text: str) -> SetSystem:
     if len(lines) == 1:
         raise InputFormatError("bases file lists no bases")
     words = [_subset_word(ground, line, "basis line") for line in lines[1:]]
-    return SetSystem(ground, tuple(words))
+    return SubsetPoly(ground, dict.fromkeys(words, Fraction(1)))
 
 
 def parse_certificate_file(text: str) -> SquareCertificate:

@@ -1,12 +1,14 @@
-"""Matroids as memoized rank oracles, with the constructions used here.
+"""Matroids as rank oracles, with the constructions used here.
 
 A matroid is a ground set plus a rank function on subset words.  Every
 construction (uniform, graphic, explicit basis list, minors, duals, two-sums,
-parallel extensions) just wraps a new rank function; results are cached per
-subset word until the table of all 2^m ranks is built, at most once per
-matroid (`rank_table`).  Construction runs a spot check of the rank axioms on
-random subsets so that a bad oracle fails fast rather than corrupting
-downstream verdicts.
+parallel extensions) just wraps a new rank function.  The table of all 2^m
+ranks is built at most once per matroid (`rank_table`); before that, each
+rank query calls the oracle, and nothing is cached per word.  A set family
+(bases, independent or spanning sets) is the key set of a unit-weight
+`SubsetPoly`.  Construction runs a spot check of the rank axioms on random
+subsets so that a bad oracle fails fast rather than corrupting downstream
+verdicts.
 """
 
 from __future__ import annotations
@@ -71,29 +73,6 @@ def _union(parent: list[int], a: int, b: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SetSystem:
-    """A family of subsets of a common ground set, stored as sorted words."""
-
-    ground: GroundSet
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        member_set = frozenset(self.members)
-        full = self.ground.full
-        for w in member_set:
-            if w & ~full:
-                raise ValueError("member outside the ground set")
-        object.__setattr__(self, "members", tuple(sorted(member_set)))
-        object.__setattr__(self, "_member_set", member_set)
-
-    def __contains__(self, word: int) -> bool:
-        return word in self._member_set
-
-    def member_set(self) -> frozenset[int]:
-        return self._member_set
-
-
 class BasisExchangeError(ValueError):
     """Raised when an alleged basis family violates the exchange axiom."""
 
@@ -130,8 +109,8 @@ def exchange_axiom_witness(members: Sequence[int]) -> tuple[int, int, int] | Non
 
 
 class Matroid:
-    """Rank oracle with memoization over subset words; once `rank_table` has
-    built the table of every rank, `rank` reads that instead."""
+    """Rank oracle over subset words; once `rank_table` has built the table
+    of every rank, `rank` reads that instead of calling the oracle."""
 
     def __init__(
         self,
@@ -142,7 +121,6 @@ class Matroid:
     ):
         self.ground = ground
         self._rank_word = rank_word
-        self._memo: dict[int, int] = {}
         self._table: bytes | None = None
         self.provenance = provenance
         if check:
@@ -152,11 +130,7 @@ class Matroid:
     def rank(self, word: int) -> int:
         if self._table is not None:
             return self._table[word]
-        cached = self._memo.get(word)
-        if cached is None:
-            cached = self._rank_word(word)
-            self._memo[word] = cached
-        return cached
+        return self._rank_word(word)
 
     def _spot_check(self) -> None:
         if self.rank(0) != 0:
@@ -254,9 +228,9 @@ def graphic_matroid(graph: Graph) -> Matroid:
     return Matroid(ground, rank_word, ("graphic", n, ends), check=False)
 
 
-def matroid_from_bases(system: SetSystem) -> Matroid:
-    """Matroid defined by an explicit basis list; validates the exchange axiom."""
-    members = system.members
+def matroid_from_bases(bases: SubsetPoly) -> Matroid:
+    """Matroid whose bases are the support of `bases`; validates the exchange axiom."""
+    members = sorted(bases.terms)
     if not members:
         raise ValueError("a matroid needs at least one basis")
     sizes = {popcount(w) for w in members}
@@ -265,24 +239,23 @@ def matroid_from_bases(system: SetSystem) -> Matroid:
     witness = exchange_axiom_witness(members)
     if witness is not None:
         a_word, b_word, abit = witness
-        g = system.ground
+        g = bases.ground
         raise BasisExchangeError(
             "basis exchange fails for "
             f"A={g.labels_of(a_word)}, B={g.labels_of(b_word)}, a={g.labels_of(abit)[0]!r}",
             (a_word, b_word, abit),
         )
-    basis_list = list(members)
 
     def rank_word(w: int) -> int:
-        return max(popcount(w & b) for b in basis_list)
+        return max(popcount(w & b) for b in members)
 
     r = next(iter(sizes))
-    m = system.ground.m
-    if len(set(members)) == comb(m, r):
+    m = bases.ground.m
+    if len(members) == comb(m, r):
         # every r-subset is a basis: keep the uniform tag so exchangeable
         # shortcuts stay available
-        return Matroid(system.ground, rank_word, ("uniform", m, r), check=False)
-    return Matroid(system.ground, rank_word, ("bases", len(members)), check=False)
+        return Matroid(bases.ground, rank_word, ("uniform", m, r), check=False)
+    return Matroid(bases.ground, rank_word, ("bases", len(members)), check=False)
 
 
 def two_sum(left: Matroid, right: Matroid, glue: str) -> Matroid:
@@ -342,8 +315,9 @@ def parallel_extend(matroid: Matroid, multiplicity: Mapping[str, int]) -> Matroi
     return Matroid(ground, rank_word, ("parallel", matroid.provenance), check=False)
 
 
-def enumerate_family(matroid: Matroid, kind: str) -> SetSystem:
-    """All independent / spanning sets or bases, read off the `rank_table`."""
+def enumerate_family(matroid: Matroid, kind: str) -> SubsetPoly:
+    """All independent / spanning sets or bases, read off the `rank_table`,
+    as the unit-weight polynomial whose support they are."""
     table = rank_table(matroid)
     r = matroid.r
     if kind == "independent":
@@ -354,7 +328,7 @@ def enumerate_family(matroid: Matroid, kind: str) -> SetSystem:
         out = [w for w, rk in enumerate(table) if rk == r == popcount(w)]
     else:
         raise ValueError(f"unknown family kind {kind!r}")
-    return SetSystem(matroid.ground, tuple(out))
+    return SubsetPoly(matroid.ground, dict.fromkeys(out, Fraction(1)))
 
 
 @dataclass(frozen=True)
@@ -376,12 +350,13 @@ def rank_table(matroid: Matroid) -> bytes:
     """rank(w) for every subset word w, indexed by w.
 
     The table is built on the first call and kept on the matroid, so every
-    later call returns the same `bytes` object and `Matroid.rank` reads it.  A graphic matroid fills it by
-    a depth-first walk that adds edges in word order to a union-find and rolls
-    each union back on the way out, so every subset costs one union attempt.
-    Any other matroid calls its rank oracle once per subset, past the
-    per-word memo, which would otherwise hold a second copy of every rank.
-    Minors, duals and two-sums of this matroid then query its table.
+    later call returns the same `bytes` object and `Matroid.rank` reads it;
+    it is the one store of ranks, with no per-word cache beside it.  A
+    graphic matroid fills it by a depth-first walk that adds edges in word
+    order to a union-find and rolls each union back on the way out, so every
+    subset costs one union attempt.  Any other matroid calls its rank oracle
+    once per subset.  Minors, duals and two-sums of this matroid then query
+    its table.
     """
     if matroid._table is not None:
         return matroid._table

@@ -158,8 +158,11 @@ class _TermPoly:
             out[k] = out[k] + c if k in out else c
         return type(self)(self.ground, out)
 
+    def __neg__(self):
+        return type(self)(self.ground, {k: -c for k, c in self.terms.items()})
+
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + -other
 
     def scale(self, c):
         return type(self)(self.ground, {k: c * x for k, x in self.terms.items()})

@@ -90,9 +90,7 @@ def model_poly(matroid: Matroid, model: Model) -> ModelPoly:
     """Partition function of a matroid under any of the four models."""
     if model.kind == "potts":
         return potts_poly(matroid, model.q0)
-    family = enumerate_family(matroid, model.kind)
-    terms = {w: Fraction(1) for w in family.members}
-    return ModelPoly(SubsetPoly(matroid.ground, terms), model, matroid)
+    return ModelPoly(enumerate_family(matroid, model.kind), model, matroid)
 
 
 def uniform_potts_symseq(m: int, r: int, q0: Fraction) -> Seq:

@@ -236,6 +236,10 @@ def _judge(diff: QuadPoly, pair: tuple[str, str], strategy: Strategy) -> Rayleig
         return RayleighVerdict("inconclusive", pair=pair, samples=0)
     if isinstance(strategy, CertificateStrategy):
         cert = strategy.certificate_for(*pair)
+        e, f = pair
+        for lab in pair:
+            if any(lab in a or lab in b for _, a, b in cert.terms):
+                raise ValueError(f"certificate for pair ({e},{f}) names the pair's own element {lab!r}")
         residue = diff - cert.expand(diff.ground)
         if residue.is_coefficientwise_nonnegative():
             return RayleighVerdict("verified", method="certificate", pair=pair)
@@ -272,15 +276,6 @@ class PairSweep:
     @property
     def all_verified(self) -> bool:
         return self.summary == "verified"
-
-    def worst(self) -> RayleighVerdict | None:
-        for v in self.verdicts.values():
-            if v.refuted:
-                return v
-        for v in self.verdicts.values():
-            if v.status == "inconclusive":
-                return v
-        return None
 
 
 def check_all(z: SubsetPoly, strategy: Strategy) -> PairSweep:

@@ -134,10 +134,6 @@ def check_condition(seq: Seq, cond: str) -> ConditionVerdict:
     raise ValueError(f"unknown condition {cond!r}")
 
 
-def check_many(seq: Seq, conds: Sequence[str]) -> dict[str, ConditionVerdict]:
-    return {c: check_condition(seq, c) for c in conds}
-
-
 # --- exchangeable weights ------------------------------------------------------------
 
 

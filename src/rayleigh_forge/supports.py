@@ -4,6 +4,11 @@ Pair-verified weight functions have supports that are convex delta-matroids,
 log-submodular values, and flattenings that satisfy basis exchange.  Each
 check here is exhaustive and returns an explicit witness on failure, so the
 test suite can treat "verified polynomial with a bad support" as a hard bug.
+
+A set family is the support of a `SubsetPoly`: the family checks read the
+keys of `z.terms`, and a family without weights is passed with unit weights.
+They walk the members in increasing word order, so witnesses do not depend
+on the order the terms were inserted in.
 """
 
 from __future__ import annotations
@@ -12,49 +17,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .matroids import SetSystem, exchange_axiom_witness
+from .matroids import exchange_axiom_witness
 from .polynomials import GroundSet, SubsetPoly
 from .sequences import Seq
 from .words import bit_positions, popcount
 
 
-@dataclass(frozen=True)
-class SupportProfile:
-    ground: GroundSet
-    support: SetSystem
-    r: int
-    s: int
-
-
-def support(z: SubsetPoly) -> SupportProfile:
-    """Exact support of a weight function with nonnegative coefficients."""
-    words = []
-    for w, c in z.terms.items():
-        if not isinstance(c, Fraction):
-            raise TypeError("support extraction needs rational coefficients")
-        if c < 0:
-            raise ValueError("negative coefficient")
-        if c:
-            words.append(w)
-    if not words:
-        raise ValueError("empty support")
-    system = SetSystem(z.ground, tuple(words))
-    sizes = [popcount(w) for w in system.members]
-    return SupportProfile(ground=z.ground, support=system, r=max(sizes), s=min(sizes))
-
-
-def convexity_witness(system: SetSystem) -> tuple[int, int, int] | None:
+def convexity_witness(z: SubsetPoly) -> tuple[int, int, int] | None:
     """A triple (S, T, S') with S, S' members, S ⊆ T ⊆ S', T missing; None if convex.
 
     It is enough to test one-element insertions T = S ∪ {x} over member pairs
-    S ⊆ S': if all of those land in the system, induction on |T∖S| fills in
+    S ⊆ S': if all of those land in the support, induction on |T∖S| fills in
     every intermediate set.
     """
-    members = system.members
-    member_set = system.member_set()
-    if len(member_set) == 1 << system.ground.m:
+    member_set = z.terms
+    if len(member_set) == 1 << z.ground.m:
         return None
-    by_size = sorted(members, key=popcount)
+    by_size = sorted(member_set, key=lambda w: (popcount(w), w))
     for i, small in enumerate(by_size):
         for big in by_size[i + 1 :]:
             if small & big != small or small == big:
@@ -68,21 +47,21 @@ def convexity_witness(system: SetSystem) -> tuple[int, int, int] | None:
     return None
 
 
-def is_convex(system: SetSystem) -> bool:
-    return convexity_witness(system) is None
+def is_convex(z: SubsetPoly) -> bool:
+    return convexity_witness(z) is None
 
 
-def symmetric_exchange_witness(system: SetSystem) -> tuple[int, int, int] | None:
+def symmetric_exchange_witness(z: SubsetPoly) -> tuple[int, int, int] | None:
     """A violating (A, B, e-bit) of the symmetric exchange axiom; None if it holds.
 
     The axiom: for members A, B and e in the symmetric difference there is an
     f in the symmetric difference (f = e allowed) with A △ {e,f} a member.
     """
-    member_set = system.member_set()
-    m = system.ground.m
+    member_set = z.terms
+    m = z.ground.m
     if len(member_set) == 1 << m:
         return None
-    # toggles[w] = bitmask of positions whose single flip lands in the system
+    # toggles[w] = bitmask of positions whose single flip lands in the support
     toggles: dict[int, int] = {}
 
     def toggle_mask(word: int) -> int:
@@ -95,7 +74,7 @@ def symmetric_exchange_witness(system: SetSystem) -> tuple[int, int, int] | None
             toggles[word] = got
         return got
 
-    members = system.members
+    members = sorted(member_set)
     for a in members:
         for b in members:
             diff = a ^ b
@@ -112,12 +91,12 @@ def symmetric_exchange_witness(system: SetSystem) -> tuple[int, int, int] | None
     return None
 
 
-def sea_check(system: SetSystem) -> bool:
-    return symmetric_exchange_witness(system) is None
+def sea_check(z: SubsetPoly) -> bool:
+    return symmetric_exchange_witness(z) is None
 
 
-def is_convex_delta_matroid(system: SetSystem) -> bool:
-    return is_convex(system) and sea_check(system)
+def is_convex_delta_matroid(z: SubsetPoly) -> bool:
+    return is_convex(z) and sea_check(z)
 
 
 def log_submodular_witness(z: SubsetPoly) -> tuple[int, int] | None:
@@ -163,11 +142,10 @@ def log_submodular_check(z: SubsetPoly) -> bool:
 
 @dataclass(frozen=True)
 class FlattenRecord:
-    """A support made homogeneous of degree r by adjoining r-s free elements."""
+    """A support made homogeneous of degree r by adjoining r-s free elements;
+    `weights` carries the flattened ground set and support."""
 
-    ground: GroundSet
     fresh: tuple[str, ...]
-    system: SetSystem
     weights: SubsetPoly
     exchange_ok: bool
     exchange_witness: tuple | None
@@ -188,31 +166,25 @@ def flatten(z: SubsetPoly) -> FlattenRecord:
     for a convex delta-matroid it satisfies basis exchange.  The padded
     weights keep the original coefficient on every completion, which matches
     multiplying each size-k layer by the elementary symmetric polynomial
-    e_{r-k} of the fresh variables.  A set system flattens as its unit weights.
+    e_{r-k} of the fresh variables.  A set family flattens as its unit weights.
     """
-    profile = support(z)
-    ground, r = profile.ground, profile.r
-    ell = r - profile.s
+    window = size_window_sums(z)
+    ground, r = z.ground, window.r
+    ell = r - window.s
     if ground.m + ell > 30:
         raise ValueError("flattening overflows the 30-element ground cap")
     fresh = _fresh_labels(ground, ell)
     flat_ground = GroundSet(ground.labels + fresh)
 
     flat_terms: dict[int, Fraction] = {}
-    flat_members: list[int] = []
     fresh_bits = [flat_ground.bit(lab) for lab in fresh]
-    for w in profile.support.members:
-        coeff = z.coeff(w)
+    for w in sorted(z.terms):
+        coeff = z.terms[w]
         for pick in combinations(fresh_bits, r - popcount(w)):
-            padded = w | sum(pick)
-            flat_members.append(padded)
-            flat_terms[padded] = coeff
-    flat_system = SetSystem(flat_ground, tuple(flat_members))
-    witness = exchange_axiom_witness(flat_system.members)
+            flat_terms[w | sum(pick)] = coeff
+    witness = exchange_axiom_witness(sorted(flat_terms))
     return FlattenRecord(
-        ground=flat_ground,
         fresh=fresh,
-        system=flat_system,
         weights=SubsetPoly(flat_ground, flat_terms),
         exchange_ok=witness is None,
         exchange_witness=witness,
@@ -220,13 +192,24 @@ def flatten(z: SubsetPoly) -> FlattenRecord:
 
 
 def size_window_sums(z: SubsetPoly) -> Seq:
-    """Seq(s, [f_s..f_r], m): total weight per support size over the support window."""
-    profile = support(z)
-    sums = [Fraction(0)] * (profile.r - profile.s + 1)
-    for w, c in z.terms.items():
-        if c:
-            sums[popcount(w) - profile.s] += c
-    return Seq(profile.s, tuple(sums), z.ground.m)
+    """Seq(s, [f_s..f_r], m): total weight per support size over the support window.
+
+    The one reader of the support's smallest and largest sizes s and r; the
+    coefficients must be nonnegative rationals with a nonempty support.
+    """
+    for c in z.terms.values():  # zeros are already dropped
+        if not isinstance(c, Fraction):
+            raise TypeError("support extraction needs rational coefficients")
+        if c < 0:
+            raise ValueError("negative coefficient")
+    if not z.terms:
+        raise ValueError("empty support")
+    sizes = list(map(popcount, z.terms))
+    s = min(sizes)
+    sums = [Fraction(0)] * (max(sizes) - s + 1)
+    for k, c in zip(sizes, z.terms.values()):
+        sums[k - s] += c
+    return Seq(s, tuple(sums), z.ground.m)
 
 
 def flattened_fresh_profile(z: SubsetPoly) -> Seq:
@@ -242,20 +225,22 @@ def flattened_fresh_profile(z: SubsetPoly) -> Seq:
 @dataclass(frozen=True)
 class LayerVerdict:
     k: int
-    system: SetSystem
+    system: SubsetPoly
     exchange_ok: bool
     exchange_witness: tuple | None
 
 
-def layers(system: SetSystem) -> list[LayerVerdict]:
-    """Members grouped by size; each layer gets a basis-exchange verdict."""
+def layers(z: SubsetPoly) -> list[LayerVerdict]:
+    """Support members grouped by size, each layer with z's weights on it;
+    each layer gets a basis-exchange verdict."""
     by_size: dict[int, list[int]] = {}
-    for w in system.members:
+    for w in sorted(z.terms):
         by_size.setdefault(popcount(w), []).append(w)
     out = []
     for k in sorted(by_size):
-        layer = SetSystem(system.ground, tuple(by_size[k]))
-        witness = exchange_axiom_witness(layer.members)
+        members = by_size[k]
+        layer = SubsetPoly(z.ground, {w: z.terms[w] for w in members})
+        witness = exchange_axiom_witness(members)
         out.append(
             LayerVerdict(k=k, system=layer, exchange_ok=witness is None, exchange_witness=witness)
         )
@@ -294,11 +279,11 @@ class ExchangeReport:
         )
 
 
-def exchange_props_check(system: SetSystem) -> ExchangeReport:
-    if not is_convex_delta_matroid(system):
+def exchange_props_check(z: SubsetPoly) -> ExchangeReport:
+    if not is_convex_delta_matroid(z):
         return ExchangeReport(True, False, False, False, False, False, False, {})
-    members = system.members
-    member_set = system.member_set()
+    member_set = z.terms
+    members = sorted(member_set)
     witnesses: dict = {}
 
     augment = shrink = out_ok = in_ok = True
@@ -351,12 +336,12 @@ def exchange_props_check(system: SetSystem) -> ExchangeReport:
     )
 
 
-def disjoint_pair_exchange_witness(system: SetSystem) -> tuple | None:
+def disjoint_pair_exchange_witness(z: SubsetPoly) -> tuple | None:
     """Hunt for disjoint members A, B and {e,f} ⊆ B, g ∈ A such that no member
     contains e and g but not f, nor f and g but not e.  None if no such
     configuration exists (a necessary condition on supports of pair-verified
     weight functions)."""
-    members = system.members
+    members = sorted(z.terms)
     for a in members:
         for b in members:
             if a & b or popcount(b) < 2:
@@ -381,8 +366,7 @@ def disjoint_pair_exchange_witness(system: SetSystem) -> tuple | None:
 def full_support_check(z: SubsetPoly) -> bool | None:
     """True/False: does the support contain ∅ and E and equal all of B(E)?
     None when ∅ or E is missing (the premise fails, nothing to check)."""
-    profile = support(z)
-    member_set = profile.support.member_set()
-    if 0 not in member_set or z.ground.full not in member_set:
+    size_window_sums(z)  # refuses what is not a weight function
+    if 0 not in z.terms or z.ground.full not in z.terms:
         return None
-    return len(member_set) == 1 << z.ground.m
+    return len(z.terms) == 1 << z.ground.m

@@ -107,7 +107,7 @@ def test_criterion_10_forest_charpoly():
 
 def test_criterion_11_golden_counts():
     k4 = invariant_sequences(graphic_matroid(complete_graph(4)), fixed=("1",))
-    assert len(enumerate_family(graphic_matroid(complete_graph(4)), "bases").members) == 16
+    assert len(enumerate_family(graphic_matroid(complete_graph(4)), "bases").terms) == 16
     assert k4.I == (1, 6, 15, 16)
     assert k4.W == (1, 6, 7, 1)
     assert k4.c == (8, 8)

@@ -67,6 +67,67 @@ z : 1
 
 K4_CERT = "1 : 2,5 | 3,4\n"
 DUP_CERT = "1 : 2,2,5 | 3,4\n"
+STRAY_CERT = "1 : 2,9 | 3,4\n"
+
+# the 16 bases of K4, listed out of word order
+K4_BASES = """\
+elements: 1,2,3,4,5,6
+2,3,4
+1,2,5
+2,3,5
+1,5,6
+1,3,6
+1,3,4
+2,4,5
+3,4,5
+1,2,3
+3,5,6
+1,4,6
+2,5,6
+3,4,6
+1,4,5
+2,4,6
+1,2,6
+"""
+
+# equicardinal but not a matroid: no basis exchange between {a,b} and {c,d}
+SWAPLESS_BASES = """\
+elements: a,b,c,d
+c,d
+a,b
+a,c
+"""
+
+
+def unit_weight_text(bases_text: str) -> str:
+    """The same family as a weight file with weight 1 on every listed set."""
+    header, *rows = bases_text.splitlines()
+    return "\n".join([header] + [f"{row} : 1" for row in rows]) + "\n"
+
+
+# `delta check` results, stdout and exit codes for the two bases files above
+K4_DELTA = {
+    "convex": True,
+    "sea": True,
+    "log_submodular": True,
+    "flatten": {"l": 0, "exchange_ok": True},
+    "layers": [{"k": 3, "count": 16, "exchange_ok": True}],
+}
+K4_DELTA_STDOUT = (
+    "convex: True\nsea: True\nlog_submodular: True\n"
+    "flatten: l=0 exchange_ok=True\nlayer k=3: 16 members, exchange_ok=True\n"
+)
+SWAPLESS_DELTA = {
+    "convex": True,
+    "sea": False,
+    "log_submodular": True,
+    "flatten": {"l": 0, "exchange_ok": False},
+    "layers": [{"k": 2, "count": 3, "exchange_ok": False}],
+}
+SWAPLESS_DELTA_STDOUT = (
+    "convex: True\nsea: False\nlog_submodular: True\n"
+    "flatten: l=0 exchange_ok=False\nlayer k=2: 3 members, exchange_ok=False\n"
+)
 
 # the K4 counting sequences that `matroid info` and `mason` report alike
 K4_INVARIANTS = {
@@ -138,6 +199,11 @@ def files(tmp_path):
         "corr3": write("corr3.weights", CORR3_WEIGHTS),
         "cert": write("k4.cert", K4_CERT),
         "dup_cert": write("dup.cert", DUP_CERT),
+        "stray_cert": write("stray.cert", STRAY_CERT),
+        "k4_bases": write("k4.bases", K4_BASES),
+        "k4_bases_unit": write("k4.weights", unit_weight_text(K4_BASES)),
+        "swapless": write("swapless.bases", SWAPLESS_BASES),
+        "swapless_unit": write("swapless.weights", unit_weight_text(SWAPLESS_BASES)),
         "neg": write("neg.weights", NEGATIVE_WEIGHTS),
         "zero": write("zero.weights", ZERO_WEIGHTS),
         "dir": tmp_path,
@@ -185,6 +251,11 @@ class TestMatroidInfo:
         assert len(report["inputs"][files["u32"]]) == 64  # sha256 hex
         assert report["results"]["independent"] == [1, 3, 3]
         assert report["results"]["charpoly_magnitudes"] == [1, 3, 2]
+
+    def test_exchange_failure_names_the_first_sorted_witness(self, files, capsys):
+        # members are walked in word order ab < ac < cd, not in file order
+        assert run(["matroid", "info", files["swapless"]]) == 3
+        assert capsys.readouterr().err == "error: basis exchange fails for A=('a', 'b'), B=('c', 'd'), a='a'\n"
 
     def test_k4_fixed_golden(self, files, capsys):
         code, report = run_json(files, ["matroid", "info", files["k4"], "--fixed", "1"], capsys)
@@ -262,6 +333,19 @@ class TestRayleighCheck:
                 "--pair", "1,6", "--certificate", files["dup_cert"]]
         assert run(argv) == 3
         assert "repeated label '2' in certificate" in capsys.readouterr().err
+
+    def test_certificate_naming_the_pair_refused(self, files, capsys):
+        # 2 is an element of K4, but D for the pair (1,2) has no variable y_2
+        argv = ["rayleigh", "check", files["k4"], "--model", "independent", "--strategy", "cert",
+                "--pair", "1,2", "--certificate", files["cert"]]
+        assert run(argv) == 3
+        assert "certificate for pair (1,2) names the pair's own element '2'" in capsys.readouterr().err
+
+    def test_certificate_unknown_label_refused(self, files, capsys):
+        argv = ["rayleigh", "check", files["k4"], "--model", "independent", "--strategy", "cert",
+                "--pair", "1,6", "--certificate", files["stray_cert"]]
+        assert run(argv) == 3
+        assert "unknown element '9'" in capsys.readouterr().err
 
     def test_cert_requires_pair(self, files, capsys):
         code = run(
@@ -382,6 +466,18 @@ class TestDelta:
         code, report = run_json(files, ["delta", "check", files["corr"]], capsys)
         assert code == 1
         assert report["results"]["convex"] is False
+
+    @pytest.mark.parametrize(
+        "name,code,results,stdout",
+        [("k4_bases", 0, K4_DELTA, K4_DELTA_STDOUT), ("swapless", 1, SWAPLESS_DELTA, SWAPLESS_DELTA_STDOUT)],
+        ids=["k4", "swapless"],
+    )
+    def test_bases_file_report(self, files, capsys, name, code, results, stdout):
+        assert run(["delta", "check", files[name]]) == code
+        assert capsys.readouterr().out == stdout
+        for path in (files[name], files[f"{name}_unit"]):
+            got, report = run_json(files, ["delta", "check", path], capsys)
+            assert (got, report["results"]) == (code, results)
 
     def test_log_submodular_exhaustive_above_ten(self, files, capsys):
         # w(a)w(b) = 1 < 2 = w(empty)w(ab) on 11 elements

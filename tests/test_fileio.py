@@ -127,7 +127,7 @@ class TestBasesFiles:
     def test_parse(self):
         system = parse_bases_file(BASES)
         assert system.ground.labels == ("1", "2", "3")
-        assert system.members == (3, 6)
+        assert sorted(system.terms) == [3, 6]
 
     def test_rejects_empty_list(self):
         with pytest.raises(InputFormatError):

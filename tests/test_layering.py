@@ -1,7 +1,10 @@
 """Import layering of the package: every intra-package import sits at module
-top, and the module-level imports form one acyclic order."""
+top, and the module-level imports form one acyclic order.  The benchmark
+scripts' imports from the package must resolve."""
 
 import ast
+import importlib
+import importlib.util
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 import rayleigh_forge
 
 PACKAGE = Path(rayleigh_forge.__file__).parent
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -54,3 +58,21 @@ def test_module_imports_are_acyclic():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle: {exc.args[1]}")
+
+
+def test_benchmark_imports_resolve():
+    """Every name perfbench/*.py imports from the package still exists; the test only reads perfbench/."""
+    checked, missing = [], []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.startswith("rayleigh_forge")):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                checked.append(f"{node.module}.{alias.name}")
+                # `from rayleigh_forge import cli` names a submodule, not an attribute
+                is_submodule = hasattr(module, "__path__") and importlib.util.find_spec(checked[-1]) is not None
+                if not (hasattr(module, alias.name) or is_submodule):
+                    missing.append(f"{path.name}: {checked[-1]}")
+    assert checked, f"no package imports found under {BENCH}"
+    assert missing == []

@@ -77,7 +77,7 @@ class TestModelPoly:
         m = graphic_matroid(complete_graph(4))
         for kind in ("bases", "independent", "spanning"):
             mp = model_poly(m, Model(kind))
-            members = set(enumerate_family(m, kind).members)
+            members = set(enumerate_family(m, kind).terms)
             assert set(mp.poly.terms) == members
             assert all(c == 1 for c in mp.poly.terms.values())
 
@@ -203,7 +203,7 @@ class TestScalingLimit:
     def test_limits_recover_families(self, alpha, kind):
         for m in (graphic_matroid(complete_graph(4)), uniform_matroid(5, 3)):
             assert scaling_limit_support(m, alpha) == frozenset(
-                enumerate_family(m, kind).members
+                enumerate_family(m, kind).terms
             )
 
     def test_alpha_range(self):

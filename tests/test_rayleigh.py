@@ -172,7 +172,6 @@ class TestCheckAll:
         mixed = SubsetPoly(g, {0: F(1), 3: F(1)})  # pair (1,2) correlates positively
         sweep = check_all(mixed, SampleStrategy(20, seed=2))
         assert sweep.summary == "refuted"
-        assert sweep.worst().refuted
 
     def test_seed_split_is_schedule_free(self):
         # pair number idx samples from derive(seed, idx) alone, so each verdict

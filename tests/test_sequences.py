@@ -15,7 +15,6 @@ from rayleigh_forge.sequences import (
     CONDITIONS,
     Seq,
     check_condition,
-    check_many,
     convolution_identity,
     convolve,
     mason_report,
@@ -258,11 +257,6 @@ class TestLadder:
     def test_unknown_condition(self):
         with pytest.raises(ValueError):
             check_condition(seq_from_values([1]), "a7")
-
-    def test_check_many(self):
-        out = check_many(seq_from_values([1, 3, 3, 1], m=3), CONDITIONS)
-        assert set(out) == set(CONDITIONS)
-        assert all(v.holds for v in out.values())
 
 
 @st.composite

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from rayleigh_forge.matroids import (
-    SetSystem,
     complete_graph,
     enumerate_family,
     graphic_matroid,
@@ -24,35 +23,34 @@ from rayleigh_forge.supports import (
     log_submodular_witness,
     sea_check,
     size_window_sums,
-    support,
 )
 
 F = Fraction
 
 
-def system_of(ground_labels, member_label_sets) -> SetSystem:
+def system_of(ground_labels, member_label_sets) -> SubsetPoly:
     g = GroundSet(ground_labels)
-    return SetSystem(g, tuple(g.word(s) for s in member_label_sets))
+    return SubsetPoly(g, dict.fromkeys((g.word(s) for s in member_label_sets), 1))
 
 
-def unit_weights(system: SetSystem) -> SubsetPoly:
-    return SubsetPoly(system.ground, {w: F(1) for w in system.members})
+def unit_weights(system: SubsetPoly) -> SubsetPoly:
+    return SubsetPoly(system.ground, {w: F(1) for w in system.terms})
 
 
 class TestSupport:
     def test_zero_coefficients_dropped(self):
         g = GroundSet(("a", "b"))
         z = SubsetPoly(g, {0: F(1), 1: F(0), 3: F(2)})
-        profile = support(z)
-        assert profile.support.members == (0, 3)
-        assert (profile.s, profile.r) == (0, 2)
+        assert sorted(z.terms) == [0, 3]
+        window = size_window_sums(z)
+        assert (window.s, window.r) == (0, 2)
 
     def test_validation(self):
         g = GroundSet(("a",))
         with pytest.raises(ValueError):
-            support(SubsetPoly(g, {0: F(-1)}))
+            size_window_sums(SubsetPoly(g, {0: F(-1)}))
         with pytest.raises(ValueError):
-            support(SubsetPoly(g, {}))
+            size_window_sums(SubsetPoly(g, {}))
 
 
 class TestConvexity:
@@ -69,7 +67,7 @@ class TestConvexity:
 
     def test_full_boolean_lattice(self):
         g = GroundSet(("a", "b"))
-        s = SetSystem(g, tuple(range(4)))
+        s = SubsetPoly(g, dict.fromkeys(range(4), 1))
         assert convexity_witness(s) is None
 
 
@@ -120,14 +118,14 @@ class TestFlatten:
         z = SubsetPoly(g, {0: F(5), 1: F(2), 3: F(7)})
         record = flatten(z)
         assert record.fresh == ("~1", "~2")
-        assert record.ground.labels == ("x", "y", "~1", "~2")
+        assert record.weights.ground.labels == ("x", "y", "~1", "~2")
         # every member now has size 2
-        sizes = {bin(w).count("1") for w in record.system.members}
+        sizes = {bin(w).count("1") for w in record.weights.terms}
         assert sizes == {2}
         # padded weights keep the source coefficient on each completion
-        assert record.weights.coeff(record.ground.word(("~1", "~2"))) == 5
-        assert record.weights.coeff(record.ground.word(("x", "~1"))) == 2
-        assert record.weights.coeff(record.ground.word(("x", "y"))) == 7
+        assert record.weights.coeff(record.weights.ground.word(("~1", "~2"))) == 5
+        assert record.weights.coeff(record.weights.ground.word(("x", "~1"))) == 2
+        assert record.weights.coeff(record.weights.ground.word(("x", "y"))) == 7
 
     def test_prefix_grows_on_collision(self):
         s = system_of(("~1", "b"), [(), ("~1", "b")])
@@ -174,7 +172,7 @@ class TestLayers:
         out = layers(s)
         assert [v.k for v in out] == [0, 1, 2]
         assert all(v.exchange_ok for v in out)
-        assert len(out[1].system.members) == 3
+        assert len(out[1].system.terms) == 3
 
     def test_bad_layer_flagged(self):
         s = system_of("abcd", [("a", "b"), ("c", "d")])
