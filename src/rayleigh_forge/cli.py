@@ -264,6 +264,7 @@ def _cmd_rayleigh(args, seed: int, digests) -> tuple[int, dict]:
     if args.certificate is not None and args.pair is None:
         raise InputFormatError("--certificate needs --pair to say which pair it certifies")
     z = _as_poly(_load_input(args.path, digests), args.model, args.q)
+    pair = _parse_pair(args.pair, z) if args.pair is not None else None
     if args.strategy == "coeff":
         strategy = CoeffStrategy()
     elif args.strategy == "sample":
@@ -271,11 +272,10 @@ def _cmd_rayleigh(args, seed: int, digests) -> tuple[int, dict]:
     else:
         certs = {}
         if args.certificate is not None:
-            pair = _parse_pair(args.pair, z)
             certs[pair] = parse_certificate_file(_read(args.certificate, digests))
         strategy = CertificateStrategy(certs)
-    if args.pair is not None:
-        e, f = _parse_pair(args.pair, z)
+    if pair is not None:
+        e, f = pair
         verdict = check_pair(z, e, f, strategy)
         print(f"pair ({e},{f}): {verdict.describe()}")
         return _STATUS_EXIT[verdict.status], {
@@ -310,11 +310,8 @@ def _cmd_twosum(args, seed: int, digests) -> tuple[int, dict]:
     sides = []
     for path in (args.left, args.right):
         kind, obj = _load_input(path, digests)
-        if kind == "matroid":
-            sides.append(model_poly(obj, model))
-        else:
-            sides.append(ModelPoly(obj, model, None))
-    composed = twosum_compose(sides[0], sides[1], args.glue, model)
+        sides.append(model_poly(obj, model) if kind == "matroid" else ModelPoly(obj, model))
+    composed = twosum_compose(sides[0], sides[1], args.glue)
     text = poly_text(composed.poly)
     print(f"{len(composed.poly.terms)} terms under the {model.kind} model")
     if len(composed.poly.terms) <= 64:

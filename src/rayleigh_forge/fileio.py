@@ -157,7 +157,7 @@ def parse_certificate_file(text: str) -> SquareCertificate:
             repeated = [lab for i, lab in enumerate(labels) if lab in labels[:i]]
             if repeated:
                 raise InputFormatError(f"repeated label {repeated[0]!r} in certificate")
-        terms.append((lam, frozenset(a), frozenset(b)))
+        terms.append((lam, a, b))
     try:
         return SquareCertificate(tuple(terms))
     except ValueError as exc:

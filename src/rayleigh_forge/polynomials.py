@@ -221,9 +221,6 @@ class SubsetPoly(_TermPoly):
         full = self.ground.full
         return SubsetPoly(self.ground, {full ^ w: c for w, c in self.terms.items()})
 
-    def max_support_size(self) -> int:
-        return max(map(popcount, self.terms), default=0)
-
 
 def poly_text(poly: _TermPoly) -> str:
     """Terms by degree, then by word; a squared variable prints as y[a]^2."""

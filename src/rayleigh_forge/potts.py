@@ -56,11 +56,10 @@ class Model:
 
 @dataclass(frozen=True)
 class ModelPoly:
-    """A partition function together with its model tag and source matroid."""
+    """A partition function together with its model tag."""
 
     poly: SubsetPoly
     model: Model
-    matroid: Matroid | None = None
 
     @property
     def ground(self) -> GroundSet:
@@ -83,14 +82,14 @@ def potts_poly(matroid: Matroid, q0: Fraction | None = None) -> ModelPoly:
             raise ValueError("q0 must be positive")
         weights = [q0**-k for k in range(matroid.r + 1)]
     terms = {w: weights[rk] for w, rk in enumerate(rank_table(matroid))}
-    return ModelPoly(SubsetPoly(ground, terms), Model("potts", q0), matroid)
+    return ModelPoly(SubsetPoly(ground, terms), Model("potts", q0))
 
 
 def model_poly(matroid: Matroid, model: Model) -> ModelPoly:
     """Partition function of a matroid under any of the four models."""
     if model.kind == "potts":
         return potts_poly(matroid, model.q0)
-    return ModelPoly(enumerate_family(matroid, model.kind), model, matroid)
+    return ModelPoly(enumerate_family(matroid, model.kind), model)
 
 
 def uniform_potts_symseq(m: int, r: int, q0: Fraction) -> Seq:
@@ -133,7 +132,7 @@ def is_coloop_element(mp: ModelPoly, label: str) -> bool:
     if kind in ("bases", "spanning"):
         return not deleted
     # independent: deleting a coloop lowers the maximum independent size
-    return max(map(popcount, deleted), default=0) < z.max_support_size()
+    return max(map(popcount, deleted), default=0) < max(map(popcount, z.terms), default=0)
 
 
 def contract_slice(mp: ModelPoly, label: str) -> SubsetPoly:
@@ -148,48 +147,41 @@ def contract_slice(mp: ModelPoly, label: str) -> SubsetPoly:
     return sliced.scale(mp.model.q)
 
 
-@dataclass(frozen=True)
-class SliceReport:
-    """Identity checks on the deletion/contraction slices of a Potts polynomial."""
+def potts_slices(matroid: Matroid) -> dict[str, dict[str, bool]]:
+    """Slice the symbolic Potts polynomial at every non-loop element and check the slice algebra.
 
-    identities: dict
-
-
-def potts_slices(mp: ModelPoly, label: str) -> SliceReport:
-    """Slice a Potts polynomial at one non-loop element and check the slice algebra.
-
-    Both slices must equal the Potts polynomials of the deletion and
-    contraction minors.  With symbolic q three more identities are checked,
-    the closure split read off the source matroid's `rank_table`:
+    Z is built once.  For each non-loop element g, in ground order, both
+    slices must equal the Potts polynomials of the deletion and contraction
+    minors, and three more identities are checked, the closure split read
+    off the matroid's `rank_table`:
       reconstruction   Z = Z^g + q^-1 y_g Z_g
       spanned_excluded Z^g - q^-1 Z_g  =  (1 - q^-1) * sum over S with g
                        outside the closure of S
       spanned_sum      (Z^g - Z_g) / (1 - q)  =  sum over S with g inside
                        the closure of S
-    The sampled inequalities q Z^g < Z_g <= Z^g (equality exactly for
-    coloops) are `slice_inequality_scan`'s job.
+    A symbolic identity holds at every fixed q as well.  The sampled
+    inequalities q Z^g < Z_g <= Z^g (equality exactly for coloops) are
+    `slice_inequality_scan`'s job.
     """
-    if mp.model.kind != "potts":
-        raise ValueError("slice report is for Potts polynomials")
-    matroid = mp.matroid
-    if matroid is None:
-        raise ValueError("slice report needs the source matroid")
-    if matroid.is_loop(label):
-        raise ValueError(f"element {label!r} is a loop")
+    mp = potts_poly(matroid)
+    z = mp.poly
+    ground = z.ground
+    table = rank_table(matroid)
+    q_inv = LaurentQ.q_power(-1)
+    report: dict[str, dict[str, bool]] = {}
+    for label in ground.labels:
+        if matroid.is_loop(label):
+            continue
+        bit = ground.bit(label)
+        sub = ground.without(label)
+        pos = tuple(map(ground.index, sub.labels))
+        del_poly = z.delete(label)
+        con_poly = contract_slice(mp, label)
+        identities = {
+            "deleted_matches_minor": del_poly == potts_poly(matroid.delete(label)).poly,
+            "contracted_matches_minor": con_poly == potts_poly(matroid.contract(label)).poly,
+        }
 
-    del_poly = mp.poly.delete(label)
-    con_poly = contract_slice(mp, label)
-    identities: dict = {
-        "deleted_matches_minor": del_poly == potts_poly(matroid.delete(label), mp.model.q0).poly,
-        "contracted_matches_minor": con_poly == potts_poly(matroid.contract(label), mp.model.q0).poly,
-    }
-
-    if mp.model.symbolic:
-        z = mp.poly
-        bit = z.ground.bit(label)
-        sub = z.ground.without(label)
-        pos = tuple(map(z.ground.index, sub.labels))
-        q_inv = LaurentQ.q_power(-1)
         # reconstruction: compare coefficients of Z against Z^g + q^-1 y_g Z_g
         recon = True
         for w, c in z.terms.items():
@@ -202,17 +194,12 @@ def potts_slices(mp: ModelPoly, label: str) -> SliceReport:
                 break
         identities["reconstruction"] = recon
 
-        table = rank_table(matroid)
-        weights = [LaurentQ.q_power(-k) for k in range(matroid.r + 1)]
+        # the weight of S is Z's own coefficient q^-rank(S)
         spanned: dict[int, LaurentQ] = {}
         unspanned: dict[int, LaurentQ] = {}
         for w in sub.subsets():
             orig = expand(w, pos)
-            rk = table[orig]
-            if table[orig | bit] == rk:
-                spanned[w] = weights[rk]
-            else:
-                unspanned[w] = weights[rk]
+            (spanned if table[orig | bit] == table[orig] else unspanned)[w] = z.terms[orig]
 
         lhs_b = del_poly - con_poly.scale(q_inv)
         rhs_b = SubsetPoly(sub, unspanned).scale(1 - q_inv)
@@ -220,8 +207,8 @@ def potts_slices(mp: ModelPoly, label: str) -> SliceReport:
 
         quot = _divide_one_minus_q(del_poly - con_poly, mp.model)
         identities["spanned_sum"] = quot == SubsetPoly(sub, spanned)
-
-    return SliceReport(identities=identities)
+        report[label] = identities
+    return report
 
 
 @dataclass(frozen=True)
@@ -327,7 +314,7 @@ def slice_inequality_scan(
 # --- two-sum composition --------------------------------------------------------
 
 
-def twosum_compose(left: ModelPoly, right: ModelPoly, glue: str, model: Model) -> ModelPoly:
+def twosum_compose(left: ModelPoly, right: ModelPoly, glue: str) -> ModelPoly:
     """Partition function of a two-sum, assembled from slices of the parts.
 
     With L^g, L_g the deletion/contraction slices at the glue element:
@@ -338,10 +325,12 @@ def twosum_compose(left: ModelPoly, right: ModelPoly, glue: str, model: Model) -
       potts        N = (1/(1-q)) (-q L^g R^g + L^g R_g + L_g R^g - L_g R_g)
                      = L^g R^g - (1/(1-q)) (L^g - L_g)(R^g - R_g)
 
-    Both Potts forms are computed and must agree; q = 1 is rejected.
+    The model is the parts' own, and they must agree.  Both Potts forms are
+    computed and must agree; q = 1 is rejected.
     """
-    if left.model != model or right.model != model:
-        raise ValueError("model tags of the parts and the request must agree")
+    model = left.model
+    if right.model != model:
+        raise ValueError("model tags of the two parts must agree")
     lset, rset = set(left.ground.labels), set(right.ground.labels)
     if lset & rset != {glue}:
         raise ValueError("parts must share exactly the glue element")
@@ -376,7 +365,7 @@ def twosum_compose(left: ModelPoly, right: ModelPoly, glue: str, model: Model) -
         if form1 != form2:
             raise ArithmeticError("the two Potts two-sum forms disagree")
         out = form2
-    return ModelPoly(out, model, None)
+    return ModelPoly(out, model)
 
 
 def _divide_one_minus_q(poly: SubsetPoly, model: Model) -> SubsetPoly:

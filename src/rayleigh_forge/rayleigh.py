@@ -30,7 +30,6 @@ from .matroids import Matroid
 from .polynomials import (
     QuadPoly,
     SubsetPoly,
-    canonical_ground,
     elementary_values,
     pair_products,
     pair_value,
@@ -47,15 +46,19 @@ from .words import compress, term_value
 
 @dataclass(frozen=True)
 class SquareCertificate:
-    """Nonnegative combination sum(lambda_i (y^Ai - y^Bi)^2) with monomial A, B."""
+    """Nonnegative combination sum(lambda_i (y^Ai - y^Bi)^2) with monomial A, B.
 
-    terms: tuple[tuple[Fraction, frozenset[str], frozenset[str]], ...]
+    Each side is a label tuple in file order, so a refusal names its first
+    unknown label.
+    """
+
+    terms: tuple[tuple[Fraction, tuple[str, ...], tuple[str, ...]], ...]
 
     def __post_init__(self):
         for lam, a, b in self.terms:
             if lam <= 0:
                 raise ValueError("certificate multipliers must be positive")
-            if a == b:
+            if set(a) == set(b):
                 raise ValueError("certificate squares must be nonzero")
 
     def expand(self, ground) -> QuadPoly:
@@ -333,9 +336,8 @@ def exchangeable_check(seq: Seq, find_witness: bool = True) -> RayleighVerdict:
 def _exchangeable_witness(seq: Seq, k: int):
     """Explicit negative point for a log-concavity violation at index k."""
     m = seq.m
-    ground = canonical_ground(m)
-    labels = ground.labels
-    z = symseq_to_poly(seq, ground)
+    z = symseq_to_poly(seq)
+    labels = z.ground.labels
     if k == 0 or k == m:
         # violation from an internal zero at the boundary of the support
         k = max(1, min(m - 1, k))

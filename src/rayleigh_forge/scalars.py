@@ -63,8 +63,8 @@ class LaurentQ:
         self.terms = {k: as_fraction(c) for k, c in terms.items() if c}
 
     @classmethod
-    def q_power(cls, k: int, c=1) -> "LaurentQ":
-        return cls({k: c})
+    def q_power(cls, k: int) -> "LaurentQ":
+        return cls({k: 1})
 
     @classmethod
     def coerce(cls, value) -> "LaurentQ":

@@ -29,7 +29,7 @@ from math import factorial, gcd
 from typing import Iterable, Sequence
 
 from .matroids import InvariantSequences, Matroid, comb_frac, invariant_sequences
-from .polynomials import GroundSet, SubsetPoly, canonical_ground
+from .polynomials import SubsetPoly, canonical_ground
 from .scalars import as_fraction, clear_denominators
 from .words import popcount
 
@@ -148,14 +148,12 @@ def symmetrize(z: SubsetPoly) -> Seq:
     return Seq(0, tuple(sums[k] / comb_frac(m, k) for k in range(m + 1)), m)
 
 
-def symseq_to_poly(seq: Seq, ground: GroundSet | None = None) -> SubsetPoly:
-    """Expand sum(a_k e_k) over the m variables of `seq` into an explicit multiaffine polynomial."""
+def symseq_to_poly(seq: Seq) -> SubsetPoly:
+    """Expand sum(a_k e_k) over the m variables of `seq` into an explicit
+    multiaffine polynomial on `canonical_ground(m)`."""
     if seq.m is None:
         raise ValueError("an exchangeable expansion needs the ambient size m")
-    if ground is None:
-        ground = canonical_ground(seq.m)
-    if ground.m != seq.m:
-        raise ValueError("ground set size does not match the sequence")
+    ground = canonical_ground(seq.m)
     terms = {}
     for w in ground.subsets():
         c = seq.at(popcount(w))
@@ -253,46 +251,40 @@ class ConvolutionRecord:
     equal: bool
 
 
-def _term_view(x: "Seq | Sequence[Fraction]"):
-    """(at, top_index) for a Seq or a raw list.  Raw lists may carry any signs;
-    the square-difference identity does not need nonnegativity."""
-    if isinstance(x, Seq):
-        return x.at, x.r
-    entries = [Fraction(v) for v in x]
-
-    def at(k: int) -> Fraction:
-        return entries[k] if 0 <= k < len(entries) else Fraction(0)
-
-    return at, len(entries) - 1
+def _c_term(a: list[int], b: list[int], n: int) -> int:
+    """c_n = sum_k a_{n+k} b_k over int lists indexed from 0, zero outside them."""
+    return sum(a[n + k] * b[k] for k in range(max(0, -n), min(len(b), len(a) - n)))
 
 
-def _c_term(a: "Seq | Sequence[Fraction]", b: "Seq | Sequence[Fraction]", n: int) -> Fraction:
-    a_at, _ = _term_view(a)
-    b_at, b_top = _term_view(b)
-    return sum((a_at(n + k) * b_at(k) for k in range(b_top + 1)), Fraction(0))
-
-
-def convolution_identity(
-    a: "Seq | Sequence[Fraction]", b: "Seq | Sequence[Fraction]", n: int
-) -> ConvolutionRecord:
-    """c_n := sum_k a_{n+k} b_k.  Both sides of the exact square-difference expansion
+def convolution_identity(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> ConvolutionRecord:
+    """c_n := sum_k a_{n+k} b_k over rational lists indexed from 0, of any signs.
+    Both sides of the exact square-difference expansion
 
         c_n^2 - c_{n-1} c_{n+1}
           = sum_{0<=j<=k} (a_{n+j}a_{n+k} - a_{n+j-1}a_{n+k+1})(b_j b_k - b_{j-1}b_{k+1})
 
-    computed independently; equal must come back True on every input."""
-    a_at, _ = _term_view(a)
-    b_at, b_top = _term_view(b)
-    c_prev, c_mid, c_next = (_c_term(a, b, n + d) for d in (-1, 0, 1))
+    computed independently; equal must come back True on every input.  Each
+    list is cleared of denominators once (a = A / La, b = B / Lb), and both
+    sides, of degree 2 in a and in b, are compared as ints scaled by
+    (La Lb)^2; lhs and rhs are divided back once."""
+    (ia, la), (ib, lb) = clear_denominators(a), clear_denominators(b)
+
+    def a_at(k: int) -> int:
+        return ia[k] if 0 <= k < len(ia) else 0
+
+    def b_at(k: int) -> int:
+        return ib[k] if 0 <= k < len(ib) else 0
+
+    c_prev, c_mid, c_next = (_c_term(ia, ib, n + d) for d in (-1, 0, 1))
     lhs = c_mid * c_mid - c_prev * c_next
-    rhs = Fraction(0)
-    top = b_top + 1
-    for k in range(top + 1):
+    rhs = 0
+    for k in range(len(ib) + 1):
         for j in range(k + 1):
             left = a_at(n + j) * a_at(n + k) - a_at(n + j - 1) * a_at(n + k + 1)
             right = b_at(j) * b_at(k) - b_at(j - 1) * b_at(k + 1)
             rhs += left * right
-    return ConvolutionRecord(n, lhs, rhs, lhs == rhs)
+    scale = (la * lb) ** 2
+    return ConvolutionRecord(n, Fraction(lhs, scale), Fraction(rhs, scale), lhs == rhs)
 
 
 def convolve(a: Seq, b: Seq) -> Seq:
@@ -300,9 +292,8 @@ def convolve(a: Seq, b: Seq) -> Seq:
 
     If a and b are both log-concave with no internal zeros, c is too.
     """
-    lo = a.s - b.r
-    hi = a.r - b.s
-    entries = [_c_term(a, b, n) for n in range(lo, hi + 1)]
+    (ia, la), (ib, lb) = (clear_denominators(x.at(k) for k in range(x.r + 1)) for x in (a, b))
+    entries = [Fraction(_c_term(ia, ib, n), la * lb) for n in range(a.s - b.r, a.r - b.s + 1)]
     return Seq(0, tuple(entries), m=len(entries) - 1)
 
 

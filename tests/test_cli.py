@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,6 +67,28 @@ elements: x,y,z
 x,y : 1
 z : 1
 """
+
+# the triangle TRI_GRAPH as a weight file under each `twosum` model of
+# TWOSUM_MODELS: its families, and its Potts function at q = 1/3 (which has
+# constant coefficients, so symbolic q cannot use it)
+TRI_FAMILIES = {
+    "bases": "elements: a1,a2,g\na1,a2 : 1\na1,g : 1\na2,g : 1\n",
+    "independent": "elements: a1,a2,g\n- : 1\na1 : 1\na2 : 1\ng : 1\na1,a2 : 1\na1,g : 1\na2,g : 1\n",
+    "spanning": "elements: a1,a2,g\na1,a2 : 1\na1,g : 1\na2,g : 1\na1,a2,g : 1\n",
+    "potts-1/3": "elements: a1,a2,g\n- : 1\na1 : 3\na2 : 3\ng : 3\na1,a2 : 9\na1,g : 9\na2,g : 9\na1,a2,g : 9\n",
+}
+TRI_FAMILIES["potts"] = TRI_FAMILIES["potts-1/3"]
+TWOSUM_MODELS = {
+    "bases": ["--model", "bases"],
+    "independent": ["--model", "independent"],
+    "spanning": ["--model", "spanning"],
+    "potts": ["--model", "potts"],
+    "potts-1/3": ["--model", "potts", "--q", "1/3"],
+}
+# exit code, stdout, stderr and JSON results of `twosum LEFT tri2.graph --glue g`
+# for every model above, LEFT the triangle as a graph or as a weight file;
+# recorded from an earlier `twosum_compose`, so a refactor must reproduce them
+TWOSUM_GOLDEN = json.loads((Path(__file__).parent / "golden" / "twosum.json").read_text())
 
 K4_CERT = "1 : 2,5 | 3,4\n"
 DUP_CERT = "1 : 2,2,5 | 3,4\n"
@@ -224,6 +249,18 @@ def recheck_values(err: str) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(parse_rat(x) for x in found.groups())
 
 
+def run_twosum(tmp_path, capsys, model, side):
+    left = tmp_path / f"left.{side}"
+    left.write_text(TRI_GRAPH if side == "graph" else TRI_FAMILIES[model])
+    right = tmp_path / "right.graph"
+    right.write_text(TRI2_GRAPH)
+    out = tmp_path / "twosum.json"
+    code = run(["twosum", left, right, "--glue", "g", *TWOSUM_MODELS[model], "--json", out])
+    captured = capsys.readouterr()
+    results = json.loads(out.read_text())["results"] if out.exists() else None
+    return {"exit_code": code, "stdout": captured.out, "stderr": captured.err, "results": results}
+
+
 def run_json(files, argv, capsys):
     out = files["dir"] / "report.json"
     code = run(argv + ["--json", str(out)])
@@ -347,6 +384,20 @@ class TestRayleighCheck:
         assert run(argv) == 3
         assert "unknown element '9'" in capsys.readouterr().err
 
+    def test_certificate_names_the_first_unknown_label(self, files):
+        # each side keeps its file order, whatever the string hash seed
+        cert = files["dir"] / "unknown.cert"
+        cert.write_text("1 : 7,8,9 | 3,4\n")
+        src = Path(rayleigh.__file__).resolve().parent.parent
+        argv = ["rayleigh", "check", files["k4"], "--model", "independent", "--strategy", "cert",
+                "--pair", "1,6", "--certificate", str(cert)]
+        for seed in range(4):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(src)}
+            proc = subprocess.run([sys.executable, "-m", "rayleigh_forge", *argv],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == 3
+            assert proc.stderr == "error: unknown element '7'\n", f"PYTHONHASHSEED={seed}"
+
     def test_cert_requires_pair(self, files, capsys):
         code = run(
             [
@@ -420,6 +471,11 @@ class TestTwoSum:
         terms = report["results"]["terms"]
         assert len(terms) == 4  # the four spanning trees of a square
         assert all(len(t["support"]) == 3 for t in terms)
+
+    @pytest.mark.parametrize("side", ["graph", "weights"])
+    @pytest.mark.parametrize("model", list(TWOSUM_MODELS))
+    def test_pinned_outputs(self, tmp_path, capsys, model, side):
+        assert run_twosum(tmp_path, capsys, model, side) == TWOSUM_GOLDEN[f"{model}/{side}"]
 
     def test_potts_needs_valid_q(self, files):
         assert run(["twosum", files["tri"], files["tri2"], "--glue", "g",

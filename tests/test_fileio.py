@@ -139,7 +139,7 @@ class TestCertificateFiles:
         cert = parse_certificate_file(CERT)
         assert len(cert.terms) == 2
         lam, a, b = cert.terms[0]
-        assert lam == 1 and a == frozenset(("2", "5")) and b == frozenset(("3", "4"))
+        assert lam == 1 and a == ("2", "5") and b == ("3", "4")
 
     @pytest.mark.parametrize(
         "bad",
@@ -149,6 +149,7 @@ class TestCertificateFiles:
             "x : 1 | 2",  # bad multiplier
             "-1 : 1 | 2",  # nonpositive multiplier
             "1 : 2 | 2",  # zero square
+            "1 : 2,5 | 5,2",  # zero square: the sides are compared as sets
         ],
     )
     def test_rejects(self, bad):

@@ -1,6 +1,7 @@
 """Import layering of the package: every intra-package import sits at module
 top, and the module-level imports form one acyclic order.  The benchmark
-scripts' imports from the package must resolve."""
+scripts' imports from the package must resolve, and the partition function
+they re-check witnesses on must be the one the CLI judges."""
 
 import ast
 import importlib
@@ -11,6 +12,12 @@ from pathlib import Path
 import pytest
 
 import rayleigh_forge
+from rayleigh_forge import cli
+from rayleigh_forge.fileio import parse_graph_file
+from rayleigh_forge.matroids import graphic_matroid
+from rayleigh_forge.polynomials import SubsetPoly
+from rayleigh_forge.potts import Model, model_poly
+from rayleigh_forge.scalars import parse_rat
 
 PACKAGE = Path(rayleigh_forge.__file__).parent
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -76,3 +83,23 @@ def test_benchmark_imports_resolve():
                     missing.append(f"{path.name}: {checked[-1]}")
     assert checked, f"no package imports found under {BENCH}"
     assert missing == []
+
+
+K4_GRAPH = "graph 4\n0 1 1\n0 2 2\n0 3 3\n1 2 4\n1 3 5\n2 3 6\n"
+
+
+@pytest.mark.parametrize("kind,q", [("bases", None), ("independent", None), ("spanning", None), ("potts", "1/3")])
+def test_benchmark_partition_function_is_the_judged_one(kind, q, tmp_path, monkeypatch):
+    """perfbench re-evaluates witnesses on `model_poly(m, Model(k, q)).poly`; it
+    must be the `SubsetPoly` that `rayleigh check` judges."""
+    path = tmp_path / "k4.graph"
+    path.write_text(K4_GRAPH)
+    judged = []
+    check_all = cli.check_all
+    monkeypatch.setattr(cli, "check_all", lambda z, strategy: judged.append(z) or check_all(z, strategy))
+    argv = ["rayleigh", "check", str(path), "--model", kind, "--strategy", "coeff"]
+    assert cli.main(argv + (["--q", q] if q else [])) in (0, 1, 2)
+    matroid = graphic_matroid(parse_graph_file(K4_GRAPH))
+    poly = model_poly(matroid, Model(kind, parse_rat(q) if q is not None else None)).poly
+    assert isinstance(poly, SubsetPoly)
+    assert judged == [poly]

@@ -144,12 +144,14 @@ class TestStrategies:
 
     def test_certificate_validation(self):
         with pytest.raises(ValueError):
-            SquareCertificate(((F(0), frozenset("a"), frozenset("b")),))
+            SquareCertificate(((F(0), ("a",), ("b",)),))
         with pytest.raises(ValueError):
-            SquareCertificate(((F(1), frozenset("a"), frozenset("a")),))
+            SquareCertificate(((F(1), ("a",), ("a",)),))
+        with pytest.raises(ValueError, match="squares must be nonzero"):
+            SquareCertificate(((F(1), ("2", "5"), ("5", "2")),))
 
     def test_certificate_expand_is_square(self):
-        cert = SquareCertificate(((F(2), frozenset(("1", "2")), frozenset(("3",))),))
+        cert = SquareCertificate(((F(2), ("1", "2"), ("3",)),))
         g = GroundSet(("1", "2", "3"))
         quad = cert.expand(g)
         rng = SplitMix64(3)

@@ -442,7 +442,50 @@ class TestA6Chain:
         assert check_condition(seq_from_values([0, 0]), "a6").holds
 
 
+# --- Fraction reference for the convolution identity ---------------------------------
+
+
+def ref_at(x, k):
+    return F(x[k]) if 0 <= k < len(x) else F(0)
+
+
+def ref_c_term(a, b, n):
+    return sum((ref_at(a, n + k) * ref_at(b, k) for k in range(len(b))), F(0))
+
+
+def ref_convolution_sides(a, b, n):
+    """(lhs, rhs) of the square-difference expansion, term by term in Fractions."""
+    c_prev, c_mid, c_next = (ref_c_term(a, b, n + d) for d in (-1, 0, 1))
+    lhs = c_mid * c_mid - c_prev * c_next
+    rhs = F(0)
+    for k in range(len(b) + 1):
+        for j in range(k + 1):
+            left = ref_at(a, n + j) * ref_at(a, n + k) - ref_at(a, n + j - 1) * ref_at(a, n + k + 1)
+            right = ref_at(b, j) * ref_at(b, k) - ref_at(b, j - 1) * ref_at(b, k + 1)
+            rhs += left * right
+    return lhs, rhs
+
+
+signed_lists = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12), min_size=1, max_size=6)
+
+
 class TestConvolution:
+    @given(signed_lists, signed_lists)
+    @settings(max_examples=150, deadline=None)
+    def test_identity_matches_fraction_reference(self, a, b):
+        for n in range(-2, len(a) + len(b) + 3):
+            rec = convolution_identity(a, b, n)
+            assert (rec.lhs, rec.rhs) == ref_convolution_sides(a, b, n)
+            assert rec.equal
+
+    @given(signed_lists, signed_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_convolve_matches_fraction_reference(self, a, b):
+        sa, sb = (seq_from_values(map(abs, x), offset=len(x) % 3) for x in (a, b))
+        la, lb = ([x.at(k) for k in range(x.r + 1)] for x in (sa, sb))
+        c = convolve(sa, sb)
+        assert c.entries == tuple(ref_c_term(la, lb, n) for n in range(sa.s - sb.r, sa.r - sb.s + 1))
+
     def test_identity_exact_on_signed_lists(self):
         import random
 
@@ -457,8 +500,9 @@ class TestConvolution:
     def test_identity_on_seqs(self):
         a = seq_from_values([1, 4, 6, 4, 1], m=4)
         b = seq_from_values([1, 2, 1], m=2)
+        la, lb = ([x.at(k) for k in range(x.r + 1)] for x in (a, b))
         for n in range(-2, 5):
-            assert convolution_identity(a, b, n).equal
+            assert convolution_identity(la, lb, n).equal
 
     def test_convolve_window_and_closure(self):
         a = seq_from_values([1, 3, 3, 1], m=3)
