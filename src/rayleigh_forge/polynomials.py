@@ -223,13 +223,13 @@ class SubsetPoly(_TermPoly):
 
 
 def poly_text(poly: _TermPoly) -> str:
-    """Terms by degree, then by word; a squared variable prints as y[a]^2."""
+    """Terms by degree, then by word; a square prints as y[a]^2, a constant as its coefficient."""
     labels = poly.ground.labels
     parts = []
     for sup, sq, c in sorted(poly.monomials(), key=lambda t: (popcount(t[0]) + popcount(t[1]), t[0], t[1])):
-        mono = "*".join(f"y[{labels[i]}]^2" if sq >> i & 1 else f"y[{labels[i]}]" for i in bit_positions(sup)) or "1"
+        mono = "*".join(f"y[{labels[i]}]^2" if sq >> i & 1 else f"y[{labels[i]}]" for i in bit_positions(sup))
         cs = format_rat(c) if isinstance(c, Fraction) else f"({c})"
-        parts.append(mono if cs == "1" else f"{cs}*{mono}")
+        parts.append(cs if not mono else mono if cs == "1" else f"{cs}*{mono}")
     return " + ".join(parts) or "0"
 
 

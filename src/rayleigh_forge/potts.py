@@ -3,15 +3,15 @@
 The Potts weight of a subset S is q^(-rank(S)).  With symbolic q the
 coefficients are Laurent monomials; with an evaluated q0 they are exact
 rationals.  The same `ModelPoly` wrapper also carries the frozen-family
-models (bases / independent / spanning indicators), since two-sum
-composition treats all four uniformly: it only ever needs the two slices
+models (bases / independent / spanning indicators).  Two-sum composition
+treats all four alike: each part's slices
 
-    P^g  (delete: y_g = 0)        P_g  (contract: the y_g coefficient,
-                                        rescaled by q for non-loop g in
-                                        the Potts case)
+    Z^g  (delete: y_g = 0)        Z_g  (contract: the y_g coefficient)
 
-and these slices are themselves the model polynomials of the corresponding
-minors.
+give its `glue_weights` (alpha, beta), one row per model, and the other
+part's slices are weighted by them.  The slices are themselves the model
+polynomials of the deletion and contraction minors, Z_g up to a factor q
+for Potts.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matroids import Matroid, enumerate_family, rank_table
-from .polynomials import GroundSet, SubsetPoly, _slice_bits, multiply_disjoint
+from .polynomials import GroundSet, SubsetPoly, multiply_disjoint
 from .prng import derive, sample_point, unit_fraction
 from .scalars import LaurentQ, clear_denominators
 from .sequences import Seq
@@ -103,50 +103,6 @@ def uniform_potts_symseq(m: int, r: int, q0: Fraction) -> Seq:
 # --- slices -------------------------------------------------------------------
 
 
-def is_loop_element(mp: ModelPoly, label: str) -> bool:
-    """Is `label` a loop, judged from the polynomial alone?"""
-    z = mp.poly
-    kind = mp.model.kind
-    bit = z.ground.bit(label)
-    if kind == "potts":
-        return z.coeff(bit) == 1
-    if kind in ("bases", "independent"):
-        return not _slice_bits(z.terms, keep=bit, zero=0)
-    # spanning: a loop never changes spanning-ness, so the two slices agree
-    return set(_slice_bits(z.terms, keep=bit, zero=0)) == set(_slice_bits(z.terms, keep=0, zero=bit))
-
-
-def is_coloop_element(mp: ModelPoly, label: str) -> bool:
-    """Is `label` a coloop, judged from the polynomial alone?
-
-    For Potts this reads coeff(E - g) == q * coeff(E), which cannot tell
-    coloops apart at q = 1.
-    """
-    z = mp.poly
-    kind = mp.model.kind
-    bit = z.ground.bit(label)
-    if kind == "potts":
-        full = z.ground.full
-        return z.coeff(full ^ bit) == z.coeff(full) * mp.model.q
-    deleted = _slice_bits(z.terms, keep=0, zero=bit)
-    if kind in ("bases", "spanning"):
-        return not deleted
-    # independent: deleting a coloop lowers the maximum independent size
-    return max(map(popcount, deleted), default=0) < max(map(popcount, z.terms), default=0)
-
-
-def contract_slice(mp: ModelPoly, label: str) -> SubsetPoly:
-    """The y_label coefficient; for Potts, rescaled by q unless label is a loop.
-
-    With that rescaling the slice is again a Potts partition function, namely
-    the one of the contraction minor.
-    """
-    sliced = mp.poly.contract(label)
-    if mp.model.kind != "potts" or is_loop_element(mp, label):
-        return sliced
-    return sliced.scale(mp.model.q)
-
-
 def potts_slices(matroid: Matroid) -> dict[str, dict[str, bool]]:
     """Slice the symbolic Potts polynomial at every non-loop element and check the slice algebra.
 
@@ -176,7 +132,7 @@ def potts_slices(matroid: Matroid) -> dict[str, dict[str, bool]]:
         sub = ground.without(label)
         pos = tuple(map(ground.index, sub.labels))
         del_poly = z.delete(label)
-        con_poly = contract_slice(mp, label)
+        con_poly = z.contract(label).scale(mp.model.q)
         identities = {
             "deleted_matches_minor": del_poly == potts_poly(matroid.delete(label)).poly,
             "contracted_matches_minor": con_poly == potts_poly(matroid.contract(label)).poly,
@@ -314,19 +270,44 @@ def slice_inequality_scan(
 # --- two-sum composition --------------------------------------------------------
 
 
+def glue_weights(mp: ModelPoly, glue: str) -> tuple[SubsetPoly, SubsetPoly]:
+    """The (alpha, beta) that a two-sum along `glue` puts on the other part's slices.
+
+    With d = Z^g (the y_g = 0 slice) and c = Z_g (the plain y_g
+    coefficient) of this part, the two-sum with a part L is
+    N = L^g alpha + L_g beta, where (alpha, beta) is
+
+      bases        (c, d)
+      independent  (c, d - c)
+      spanning     (c - d, d)
+      potts        (q (c - d) / (1 - q), q (d - q c) / (1 - q))
+
+    On a matroid's polynomial alpha = 0 exactly when g is a loop, and
+    beta = 0 exactly when g is a coloop.
+    """
+    d, c = mp.poly.delete(glue), mp.poly.contract(glue)
+    model = mp.model
+    if model.kind == "bases":
+        return c, d
+    if model.kind == "independent":
+        return c, d - c
+    if model.kind == "spanning":
+        return c - d, d
+    q = model.q
+    alpha = _divide_one_minus_q((c - d).scale(q), model)
+    return alpha, _divide_one_minus_q((d - c.scale(q)).scale(q), model)
+
+
 def twosum_compose(left: ModelPoly, right: ModelPoly, glue: str) -> ModelPoly:
-    """Partition function of a two-sum, assembled from slices of the parts.
+    """Partition function of a two-sum: N = L^g alpha + L_g beta.
 
-    With L^g, L_g the deletion/contraction slices at the glue element:
-
-      bases        N = L^g R_g + L_g R^g
-      independent  N = L^g R_g + L_g R^g - L_g R_g
-      spanning     N = L^g R_g + L_g R^g - L^g R^g
-      potts        N = (1/(1-q)) (-q L^g R^g + L^g R_g + L_g R^g - L_g R_g)
-                     = L^g R^g - (1/(1-q)) (L^g - L_g)(R^g - R_g)
-
-    The model is the parts' own, and they must agree.  Both Potts forms are
-    computed and must agree; q = 1 is rejected.
+    L^g and L_g are the left part's slices at the glue element, and
+    (alpha, beta) are the right part's `glue_weights`.  The model is the
+    parts' own, and they must agree.  A part whose alpha or beta vanishes
+    is refused: on a matroid that is a glue loop or coloop.  q = 1 is
+    refused first.  For Potts, N must also equal the factored form
+    L^g R^g - (1/(1-q)) (L^g - q L_g)(R^g - q R_g), built from the raw
+    slices.
     """
     model = left.model
     if right.model != model:
@@ -337,34 +318,27 @@ def twosum_compose(left: ModelPoly, right: ModelPoly, glue: str) -> ModelPoly:
     if model.kind == "potts" and model.q0 == 1:
         raise ValueError("two-sum composition is undefined at q = 1")
     for side, mp in (("left", left), ("right", right)):
-        if is_loop_element(mp, glue):
+        try:
+            alpha, beta = glue_weights(mp, glue)
+        except ValueError as exc:
+            raise ValueError(
+                f"{exc} on the {side} side: rational weights are not symbolic Potts slices,"
+                " so q must be given as a rational"
+            ) from exc
+        if alpha.is_zero():
             raise ValueError(f"glue element is a loop on the {side} side")
-        if is_coloop_element(mp, glue):
+        if beta.is_zero():
             raise ValueError(f"glue element is a coloop on the {side} side")
 
-    ld, lc = left.poly.delete(glue), contract_slice(left, glue)
-    rd, rc = right.poly.delete(glue), contract_slice(right, glue)
-
-    cross = multiply_disjoint(ld, rc) + multiply_disjoint(lc, rd)
-    if model.kind == "bases":
-        out = cross
-    elif model.kind == "independent":
-        out = cross - multiply_disjoint(lc, rc)
-    elif model.kind == "spanning":
-        out = cross - multiply_disjoint(ld, rd)
-    else:
-        numerator = (
-            cross
-            - multiply_disjoint(lc, rc)
-            - multiply_disjoint(ld, rd).scale(model.q)
-        )
-        form2 = _divide_one_minus_q(numerator, model)
-        gap_l = _divide_one_minus_q(ld - lc, model)
-        gap_r = _divide_one_minus_q(rd - rc, model)
-        form1 = multiply_disjoint(ld, rd) - multiply_disjoint(gap_l, gap_r).scale(1 - model.q)
-        if form1 != form2:
+    # the loop leaves the right part's (alpha, beta)
+    ld, lc = left.poly.delete(glue), left.poly.contract(glue)
+    out = multiply_disjoint(ld, alpha) + multiply_disjoint(lc, beta)
+    if model.kind == "potts":
+        q = model.q
+        rd, rc = right.poly.delete(glue), right.poly.contract(glue)
+        gaps = multiply_disjoint(ld - lc.scale(q), rd - rc.scale(q))
+        if multiply_disjoint(ld, rd) - _divide_one_minus_q(gaps, model) != out:
             raise ArithmeticError("the two Potts two-sum forms disagree")
-        out = form2
     return ModelPoly(out, model)
 
 

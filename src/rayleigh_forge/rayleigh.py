@@ -358,7 +358,6 @@ def _exchangeable_witness(seq: Seq, k: int):
 
 @dataclass(frozen=True)
 class SymmetrizationReport:
-    symmetrized: Seq
     base_sweep: PairSweep
     symmetrized_verdict: RayleighVerdict
     counterexample: bool
@@ -372,9 +371,8 @@ def symmetrize_and_check(z: SubsetPoly) -> SymmetrizationReport:
     counterexample to the conjecture that averaging preserves the Rayleigh
     property; the report flags that combination explicitly.
     """
-    seq = symmetrize(z)
     base = check_all(z, CoeffStrategy())
-    sym_verdict = exchangeable_check(seq)
+    sym_verdict = exchangeable_check(symmetrize(z))
     counterexample = base.all_verified and sym_verdict.refuted
     if counterexample:
         note = "counterexample: verified input, refuted symmetrization"
@@ -383,7 +381,6 @@ def symmetrize_and_check(z: SubsetPoly) -> SymmetrizationReport:
     else:
         note = "input not verified coefficientwise; no conclusion about preservation"
     return SymmetrizationReport(
-        symmetrized=seq,
         base_sweep=base,
         symmetrized_verdict=sym_verdict,
         counterexample=counterexample,
@@ -403,10 +400,6 @@ class MarginReport:
     """
 
     pair: tuple[str, str]
-    z_e: tuple[Fraction, ...]
-    z_f: tuple[Fraction, ...]
-    z_ef: tuple[Fraction, ...]
-    z_top: tuple[Fraction, ...]
     margins: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
     min_margin: Fraction
     nonnegative: bool
@@ -450,10 +443,6 @@ def conjecture_probe(
             min_margin = margin
     return MarginReport(
         pair=(e, f),
-        z_e=z_e,
-        z_f=z_f,
-        z_ef=z_ef,
-        z_top=z_top,
         margins=tuple(margins),
         min_margin=min_margin if min_margin is not None else Fraction(0),
         nonnegative=min_margin is None or min_margin >= 0,
@@ -555,16 +544,14 @@ class TripleReport:
 
     Tested in squared form: wherever theta < 0, require
     theta^2 <= 4 * diff_deleted * diff_contracted.  The inequality is a
-    consequence of the Rayleigh property of the two slices; the caller's
-    assumption is recorded, not verified here.
+    consequence of the Rayleigh property of the two slices, which the
+    caller asserts; it is not verified here.
     """
 
     triple: tuple[str, str, str]
     points: int
     holds: bool
-    min_slack: Fraction
     decomposition_ok: bool
-    assumption: str = "caller asserts the input is Rayleigh; not verified here"
 
 
 def triple_condition_check(
@@ -585,31 +572,19 @@ def triple_condition_check(
     parts = tuple(pair_products(sub, den, *pairs) for pairs in (del_pairs, theta_pairs, con_pairs))
     decomposition_ok = rayleigh_diff(z, e, f).split_at(g) == parts
 
-    # theta and both differences carry one positive scale S, so the slack is
-    # compared on ints times S^2: t * S where theta >= 0, else 4ac - t^2
+    # theta and both differences carry one positive scale S, so where
+    # theta < 0 the squared form is compared on ints times S^2
     rng = SplitMix64(seed)
     holds = True
-    least: int | None = None
     for _ in range(samples):
         vals = sub.coordinates(sample_point(rng, sub.labels))
-        t, scale = pair_value(vals, DENOMINATOR_BITS, den, *theta_pairs)
-        if t >= 0:
-            slack = t * scale
-        else:
+        t, _ = pair_value(vals, DENOMINATOR_BITS, den, *theta_pairs)
+        if t < 0:
             a, _ = pair_value(vals, DENOMINATOR_BITS, den, *del_pairs)
             c, _ = pair_value(vals, DENOMINATOR_BITS, den, *con_pairs)
-            slack = 4 * a * c - t * t
-            if slack < 0:
+            if 4 * a * c < t * t:
                 holds = False
-        if least is None or slack < least:
-            least = slack
-    return TripleReport(
-        triple=(e, f, g),
-        points=samples,
-        holds=holds,
-        min_slack=Fraction(least, scale * scale) if least is not None else Fraction(0),
-        decomposition_ok=decomposition_ok,
-    )
+    return TripleReport(triple=(e, f, g), points=samples, holds=holds, decomposition_ok=decomposition_ok)
 
 
 # --- critical-q bracketing --------------------------------------------------------

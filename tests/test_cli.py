@@ -192,7 +192,7 @@ TWOSUM_POTTS_TERMS = [
 ]
 TWOSUM_POTTS_STDOUT = (
     "16 terms under the potts model\n"
-    "(1)*1 + (q^-1)*y[a1] + (q^-1)*y[a2] + (q^-1)*y[b1] + (q^-1)*y[b2] + (q^-2)*y[a1]*y[a2]"
+    "(1) + (q^-1)*y[a1] + (q^-1)*y[a2] + (q^-1)*y[b1] + (q^-1)*y[b2] + (q^-2)*y[a1]*y[a2]"
     " + (q^-2)*y[a1]*y[b1] + (q^-2)*y[a2]*y[b1] + (q^-2)*y[a1]*y[b2] + (q^-2)*y[a2]*y[b2]"
     " + (q^-2)*y[b1]*y[b2] + (q^-3)*y[a1]*y[a2]*y[b1] + (q^-3)*y[a1]*y[a2]*y[b2]"
     " + (q^-3)*y[a1]*y[b1]*y[b2] + (q^-3)*y[a2]*y[b1]*y[b2] + (q^-3)*y[a1]*y[a2]*y[b1]*y[b2]\n"
@@ -458,9 +458,6 @@ class TestPottsBuild:
         terms = [(list(labels), k) for labels, k in K4_POTTS_TERMS]
         assert report["results"]["terms"] == single_term_payload(terms)
 
-    def test_q_and_symbolic_conflict(self, files):
-        assert run(["potts", "build", files["u32"], "--q", "1/2", "--symbolic"]) == 3
-
 
 class TestTwoSum:
     def test_bases_composition(self, files, capsys):
@@ -491,6 +488,17 @@ class TestTwoSum:
         assert code == 3
         assert "undefined at q = 1" in capsys.readouterr().err
 
+    def test_independent_weight_side_with_small_deleted_slice_composes(self, files, tmp_path, capsys):
+        # the glue is judged by beta = d - c = -y[a], not by the deleted
+        # slice's smaller sizes, so this side is no coloop side
+        left = tmp_path / "l.weights"
+        left.write_text("elements: a,g\n- : 1\ng : 1\na,g : 1\n")
+        code = run(["twosum", left, files["tri2"], "--glue", "g", "--model", "independent"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "5 terms under the independent model\n1 + y[b1] + y[b2] + y[b1]*y[b2] + y[a]*y[b1]*y[b2]\n"
+        )
+
     def test_bad_glue(self, files):
         assert run(["twosum", files["tri"], files["tri2"], "--glue", "a1"]) == 3
 
@@ -505,13 +513,15 @@ class TestTwoSum:
         assert results == {"glue": "g", "model": "potts", "q": None, "terms": single_term_payload(terms)}
 
     def test_symbolic_potts_weight_side_not_divisible(self, files, tmp_path, capsys):
-        # a weight-file side has constant coefficients, so its slice gap
-        # L^g - L_g is not divisible by 1 - q in symbolic q
+        # a weight-file side has constant coefficients, so its glue weight
+        # q (L_g - L^g) is not divisible by 1 - q in symbolic q
         left = tmp_path / "l.weights"
         left.write_text("elements: a,g\n- : 1\na : 2\ng : 2\na,g : 2\n")
         code = run(["twosum", left, files["tri2"], "--glue", "g", "--model", "potts"])
         assert code == 3
-        assert "not divisible by (1 - q)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not divisible by (1 - q) on the left side" in err
+        assert "q must be given as a rational" in err
 
 
 class TestDelta:

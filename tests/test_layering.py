@@ -1,7 +1,8 @@
 """Import layering of the package: every intra-package import sits at module
-top, and the module-level imports form one acyclic order.  The benchmark
-scripts' imports from the package must resolve, and the partition function
-they re-check witnesses on must be the one the CLI judges."""
+top, no module imports another's private names, and the module-level
+imports form one acyclic order.  The benchmark scripts' imports from the
+package must resolve, and the partition function they re-check witnesses
+on must be the one the CLI judges."""
 
 import ast
 import importlib
@@ -53,6 +54,18 @@ def test_no_import_below_module_top():
             if id(node) not in top and package_targets(node):
                 nested.append(f"{stem}.py:{node.lineno}")
     assert nested == []
+
+
+def test_no_private_name_crosses_modules():
+    crossing = [
+        f"{stem}.py:{node.lineno} {alias.name}"
+        for stem, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and package_targets(node)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert crossing == []
 
 
 def test_module_imports_are_acyclic():

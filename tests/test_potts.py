@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,13 +18,12 @@ from rayleigh_forge.matroids import (
     two_sum,
     uniform_matroid,
 )
-from rayleigh_forge.corpus import corpus_matroids
-from rayleigh_forge.polynomials import GroundSet, SubsetPoly
+from rayleigh_forge.corpus import _TWOSUM_POOL, corpus_matroids
+from rayleigh_forge.polynomials import GroundSet, SubsetPoly, multiply_disjoint, rayleigh_diff
 from rayleigh_forge.potts import (
     Model,
     ModelPoly,
-    is_coloop_element,
-    is_loop_element,
+    glue_weights,
     model_poly,
     potts_poly,
     potts_slices,
@@ -32,6 +32,7 @@ from rayleigh_forge.potts import (
     twosum_compose,
     uniform_potts_symseq,
 )
+from rayleigh_forge.prng import derive, sample_point
 from rayleigh_forge.scalars import LaurentQ
 from rayleigh_forge.sequences import symmetrize
 from rayleigh_forge.words import popcount
@@ -198,6 +199,67 @@ class TestTwoSumCompose:
         assert composed.poly == direct.poly
 
 
+POOL = dict(_TWOSUM_POOL)
+# the constant kappa in D_N(e,f) = kappa D_L(e,g) D_R(g,f): 1 for the
+# families, q^2 / (1 - q) for Potts, negative above q = 1
+KAPPA = {
+    Model("bases"): 1,
+    Model("independent"): 1,
+    Model("spanning"): 1,
+    Model("potts", F(1, 3)): F(1, 6),
+    Model("potts", F(2, 3)): F(4, 3),
+    Model("potts", F(3, 2)): F(-9, 2),
+}
+PART_PAIRS = (("k4", "uniform-5-3"), ("cycle-4", "uniform-4-2"))
+
+
+def _glued(model, lname, rname):
+    """The two parts' model polynomials and the direct two-sum's."""
+    left, right = POOL[lname]("a"), POOL[rname]("b")
+    return model_poly(left, model), model_poly(right, model), model_poly(two_sum(left, right, "g"), model).poly
+
+
+def _model_id(model):
+    return model.kind if model.q0 is None else f"{model.kind}-{model.q0}"
+
+
+class TestTwoSumIdentities:
+    """The within-side and cross-pair identities of a two-sum's pair differences."""
+
+    @pytest.mark.parametrize("lname,rname", PART_PAIRS)
+    @pytest.mark.parametrize("model", list(KAPPA), ids=_model_id)
+    def test_within_side_pairs_substitute_the_glue(self, model, lname, rname):
+        # D_N(e,f)(y) = alpha^2 D_L(e,f)(y_L, y_g = beta / alpha), (alpha, beta) at y_R
+        lp, rp, zn = _glued(model, lname, rname)
+        alpha, beta = glue_weights(rp, "g")
+        rng = derive(30, 0)
+        for e, f in itertools.combinations([lab for lab in lp.ground.labels if lab != "g"], 2):
+            dn, dl = rayleigh_diff(zn, e, f), rayleigh_diff(lp.poly, e, f)
+            for _ in range(3):
+                y = sample_point(rng, zn.ground.labels)
+                a, b = alpha.evaluate(y), beta.evaluate(y)
+                assert dn.evaluate(y) == a * a * dl.evaluate({**y, "g": b / a}), (e, f)
+
+    @pytest.mark.parametrize("lname,rname", PART_PAIRS)
+    @pytest.mark.parametrize("model", list(KAPPA), ids=_model_id)
+    def test_cross_pairs_factor_through_the_glue(self, model, lname, rname):
+        lp, rp, zn = _glued(model, lname, rname)
+        for e in lp.ground.labels:
+            for f in rp.ground.labels:
+                if "g" in (e, f):
+                    continue
+                factored = multiply_disjoint(rayleigh_diff(lp.poly, e, "g"), rayleigh_diff(rp.poly, "g", f))
+                assert rayleigh_diff(zn, e, f) == factored.scale(KAPPA[model]), (e, f)
+
+    @pytest.mark.parametrize("model", [*KAPPA, Model("potts", F(7))], ids=_model_id)
+    def test_glue_weights_have_nonnegative_coefficients(self, model):
+        # so y_g = beta / alpha > 0 on every pool part, for every q != 1
+        for name, part in _TWOSUM_POOL:
+            for weight in glue_weights(model_poly(part("a"), model), "g"):
+                assert not weight.is_zero(), name
+                assert min(weight.terms.values()) >= 0, name
+
+
 class TestScalingLimit:
     @pytest.mark.parametrize("alpha,kind", [(F(0), "spanning"), (F(1, 2), "bases"), (F(1), "independent")])
     def test_limits_recover_families(self, alpha, kind):
@@ -346,5 +408,6 @@ class TestElementClassification:
     def test_loops_and_coloops_read_from_the_polynomial(self, matroid, model):
         mp = ModelPoly(model_poly(matroid, model).poly, model)
         for lab in matroid.ground.labels:
-            assert is_loop_element(mp, lab) == matroid.is_loop(lab)
-            assert is_coloop_element(mp, lab) == matroid.is_coloop(lab)
+            alpha, beta = glue_weights(mp, lab)
+            assert alpha.is_zero() == matroid.is_loop(lab)
+            assert beta.is_zero() == matroid.is_coloop(lab)

@@ -12,7 +12,6 @@ from rayleigh_forge.matroids import (
 )
 from rayleigh_forge.polynomials import SubsetPoly, canonical_ground
 from rayleigh_forge.sequences import (
-    CONDITIONS,
     Seq,
     check_condition,
     convolution_identity,
