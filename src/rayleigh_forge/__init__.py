@@ -56,7 +56,6 @@ from .potts import (
 )
 from .prng import DEFAULT_SEED, SplitMix64, derive
 from .rayleigh import (
-    CertificateStrategy,
     CoeffStrategy,
     PairSweep,
     RayleighVerdict,

@@ -30,7 +30,6 @@ from .polynomials import SubsetPoly, poly_text
 from .potts import Model, ModelPoly, model_poly, potts_poly, twosum_compose
 from .prng import DEFAULT_SEED
 from .rayleigh import (
-    CertificateStrategy,
     CoeffStrategy,
     RayleighVerdict,
     SampleStrategy,
@@ -265,34 +264,27 @@ def _cmd_rayleigh(args, seed: int, digests) -> tuple[int, dict]:
         raise InputFormatError("--certificate needs --pair to say which pair it certifies")
     z = _as_poly(_load_input(args.path, digests), args.model, args.q)
     pair = _parse_pair(args.pair, z) if args.pair is not None else None
-    if args.strategy == "coeff":
-        strategy = CoeffStrategy()
-    elif args.strategy == "sample":
+    if args.strategy == "sample":
         strategy = SampleStrategy(samples=args.samples, seed=seed)
     else:
         certs = {}
         if args.certificate is not None:
             certs[pair] = parse_certificate_file(_read(args.certificate, digests))
-        strategy = CertificateStrategy(certs)
+        strategy = CoeffStrategy(certs)
     if pair is not None:
-        e, f = pair
-        verdict = check_pair(z, e, f, strategy)
+        verdicts = {pair: check_pair(z, *pair, strategy)}
+        summary = verdicts[pair].status
+    else:
+        sweep = check_all(z, strategy)
+        verdicts, summary = sweep.verdicts, sweep.summary
+    for (e, f), verdict in verdicts.items():
         print(f"pair ({e},{f}): {verdict.describe()}")
-        return _STATUS_EXIT[verdict.status], {
-            "strategy": args.strategy,
-            "verdicts": {f"{e},{f}": _verdict_payload(verdict)},
-            "summary": verdict.status,
-        }
-    sweep = check_all(z, strategy)
-    verdicts = {}
-    for (e, f), verdict in sweep.verdicts.items():
-        verdicts[f"{e},{f}"] = _verdict_payload(verdict)
-        print(f"pair ({e},{f}): {verdict.describe()}")
-    print(f"summary: {sweep.summary}")
-    return _STATUS_EXIT[sweep.summary], {
+    if pair is None:
+        print(f"summary: {summary}")
+    return _STATUS_EXIT[summary], {
         "strategy": args.strategy,
-        "verdicts": verdicts,
-        "summary": sweep.summary,
+        "verdicts": {f"{e},{f}": _verdict_payload(verdict) for (e, f), verdict in verdicts.items()},
+        "summary": summary,
     }
 
 

@@ -54,7 +54,6 @@ from .potts import (
 )
 from .prng import DEFAULT_SEED, DENOMINATOR_BITS, SplitMix64, derive, log_uniform_fraction, sample_point
 from .rayleigh import (
-    CertificateStrategy,
     CoeffStrategy,
     SampleStrategy,
     SquareCertificate,
@@ -269,11 +268,11 @@ def _item_uniform_exchangeable_grid(ctx: CorpusContext) -> tuple[bool, str]:
         for r in range(m + 1):
             for q0 in verified_qs:
                 cells += 1
-                verdict = exchangeable_check(uniform_potts_symseq(m, r, q0), find_witness=False)
+                verdict = exchangeable_check(uniform_potts_symseq(m, r, q0))
                 if not verdict.verified:
                     failures.append((m, r, q0))
             cells += 1
-            refuted = exchangeable_check(uniform_potts_symseq(m, r, Fraction(2)), find_witness=False).refuted
+            refuted = exchangeable_check(uniform_potts_symseq(m, r, Fraction(2))).refuted
             if refuted != (0 < r < m):
                 failures.append((m, r, Fraction(2)))
     return not failures, f"{cells} grid cells over m <= 10; failures: {failures[:3]}"
@@ -289,7 +288,7 @@ def _item_k4_certificates(ctx: CorpusContext) -> tuple[bool, str]:
     certs = k4_certificates()
     residue = d_opposite - certs[("1", "6")].expand(d_opposite.ground)
     checks.append(residue.is_coefficientwise_nonnegative())
-    sweep = check_all(z, CertificateStrategy(certs))
+    sweep = check_all(z, CoeffStrategy(certs))
     checks.append(sweep.summary == "verified")
     return all(checks), "adjacent pair coefficientwise, opposite pairs by square certificate"
 
@@ -595,7 +594,7 @@ def _item_triple_slack_and_association(ctx: CorpusContext) -> tuple[bool, str]:
         if check_all(z, CoeffStrategy()).all_verified:
             assoc_polys.append((name, z))
     zb = model_poly(corpus_matroid("graphic-k4"), Model("bases")).poly
-    if check_all(zb, CertificateStrategy(k4_certificates())).summary == "verified":
+    if check_all(zb, CoeffStrategy(k4_certificates())).summary == "verified":
         assoc_polys.append(("graphic-k4-bases", zb))
     else:
         fails.append(("graphic-k4-bases", "certificate"))

@@ -9,10 +9,11 @@ routes to Verified:
     sum(lambda_i (y^Ai - y^Bi)^2) coefficientwise.
 
 Refutation is a concrete positive rational point where the difference is
-negative.  Sampling looks for one on Python ints: Z is scaled by the lcm of
-its denominators, the dyadic point by 2^20, and `pair_value` sums the four
-integer slices there, so only the sign of one int is read per point.
-Before `check_pair` or `exchangeable_check` returns a refuting point it
+negative.  One search, `_first_negative`, looks for one on Python ints: Z is
+scaled by the lcm of its denominators, each dyadic point by 2^shift, and
+`pair_value` sums the four integer slices there, so only the sign of one int
+is read per point.  The sampler feeds it log-uniform points and
+`exchangeable_check` a dyadic ladder.  Before it returns a refuting point it
 re-evaluates the point in `Fraction`s by two routes, `scalar_pair_diff` (the
 same slices, another evaluator) and `covariance` (the measure summed over
 the whole of Z, no slicing), and all three values must agree exactly.
@@ -73,11 +74,8 @@ class SquareCertificate:
 
 @dataclass(frozen=True)
 class CoeffStrategy:
-    pass
+    """Judge D's coefficients, less the pair's square certificate if it has one."""
 
-
-@dataclass(frozen=True)
-class CertificateStrategy:
     certificates: Mapping[tuple[str, str], SquareCertificate] = field(default_factory=dict)
 
     def certificate_for(self, e: str, f: str) -> SquareCertificate:
@@ -95,7 +93,7 @@ class SampleStrategy:
             raise ValueError(f"samples must be at least 1, not {self.samples}")
 
 
-Strategy = CoeffStrategy | CertificateStrategy | SampleStrategy
+Strategy = CoeffStrategy | SampleStrategy
 
 
 @dataclass(frozen=True)
@@ -196,20 +194,12 @@ def scalar_pair_diff(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction
 
 
 def check_pair(z: SubsetPoly, e: str, f: str, strategy: Strategy) -> RayleighVerdict:
-    """One pair, one strategy.  Sign decisions need rational coefficients.
-
-    A Refuted verdict's witness passes `_recheck_witness` before it is
-    returned.
-    """
+    """One pair, one strategy.  Sign decisions need rational coefficients."""
     if not z.is_rational():
         raise TypeError("pair checks need rational coefficients; evaluate q first")
     if isinstance(strategy, SampleStrategy):
-        verdict = _sample(z, e, f, strategy)
-    else:
-        verdict = _judge(rayleigh_diff(z, e, f), (e, f), strategy)
-    if verdict.refuted:
-        _recheck_witness(z, e, f, verdict.witness, verdict.value)
-    return verdict
+        return _sample(z, e, f, strategy)
+    return _judge(rayleigh_diff(z, e, f), (e, f), strategy.certificate_for(e, f))
 
 
 def _recheck_witness(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction], value: Fraction) -> None:
@@ -232,41 +222,50 @@ def _recheck_witness(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction
         )
 
 
-def _judge(diff: QuadPoly, pair: tuple[str, str], strategy: Strategy) -> RayleighVerdict:
-    if isinstance(strategy, CoeffStrategy):
-        if diff.is_coefficientwise_nonnegative():
-            return RayleighVerdict("verified", method="coeff-positive", pair=pair)
-        return RayleighVerdict("inconclusive", pair=pair, samples=0)
-    if isinstance(strategy, CertificateStrategy):
-        cert = strategy.certificate_for(*pair)
-        e, f = pair
-        for lab in pair:
-            if any(lab in a or lab in b for _, a, b in cert.terms):
-                raise ValueError(f"certificate for pair ({e},{f}) names the pair's own element {lab!r}")
-        residue = diff - cert.expand(diff.ground)
-        if residue.is_coefficientwise_nonnegative():
-            return RayleighVerdict("verified", method="certificate", pair=pair)
-        return RayleighVerdict("inconclusive", pair=pair, samples=0)
-    raise TypeError(f"unknown strategy {strategy!r}")
+def _judge(diff: QuadPoly, pair: tuple[str, str], cert: SquareCertificate) -> RayleighVerdict:
+    """Verified when D less the certificate is coefficientwise nonnegative."""
+    e, f = pair
+    for lab in pair:
+        if any(lab in a or lab in b for _, a, b in cert.terms):
+            raise ValueError(f"certificate for pair ({e},{f}) names the pair's own element {lab!r}")
+    if cert.terms:
+        diff = diff - cert.expand(diff.ground)
+    if diff.is_coefficientwise_nonnegative():
+        return RayleighVerdict("verified", method="certificate" if cert.terms else "coeff-positive", pair=pair)
+    return RayleighVerdict("inconclusive", pair=pair, samples=0)
+
+
+def _first_negative(
+    z: SubsetPoly, e: str, f: str, points: Iterable[Mapping[str, Fraction]], shift: int
+) -> tuple[int, Mapping[str, Fraction] | None, Fraction | None]:
+    """The first point where the pair difference is negative, compared on ints.
+
+    `points` must not be empty, and every coordinate must be a multiple of
+    2^-shift.  Returns (points read, point, exact value) once a point reads
+    negative and passes `_recheck_witness`, else (points read, None, least
+    value read).
+    """
+    sub, den, pairs = rayleigh_pairs(z, e, f)
+    least = None
+    for read, point in enumerate(points, 1):
+        num, scale = pair_value(sub.coordinates(point), shift, den, *pairs)
+        if num < 0:
+            value = Fraction(num, scale)
+            _recheck_witness(z, e, f, point, value)
+            return read, point, value
+        if least is None or num < least:
+            least = num
+    return read, None, Fraction(least, scale)
 
 
 def _sample(z: SubsetPoly, e: str, f: str, strategy: SampleStrategy) -> RayleighVerdict:
-    """The first sampled point where the pair difference is negative, compared on ints."""
-    sub, den, pairs = rayleigh_pairs(z, e, f)
     rng = SplitMix64(strategy.seed)
-    least = None
-    for i in range(strategy.samples):
-        point = sample_point(rng, sub.labels)
-        num, scale = pair_value(sub.coordinates(point), DENOMINATOR_BITS, den, *pairs)
-        if num < 0:
-            return RayleighVerdict(
-                "refuted", pair=(e, f), witness=point, value=Fraction(num, scale), samples=i + 1
-            )
-        if least is None or num < least:
-            least = num
-    return RayleighVerdict(
-        "inconclusive", pair=(e, f), samples=strategy.samples, min_value=Fraction(least, scale)
-    )
+    labels = [lab for lab in z.ground.labels if lab != e and lab != f]
+    points = (sample_point(rng, labels) for _ in range(strategy.samples))
+    read, point, value = _first_negative(z, e, f, points, DENOMINATOR_BITS)
+    if point is not None:
+        return RayleighVerdict("refuted", pair=(e, f), witness=point, value=value, samples=read)
+    return RayleighVerdict("inconclusive", pair=(e, f), samples=read, min_value=value)
 
 
 @dataclass(frozen=True)
@@ -305,15 +304,16 @@ def check_all(z: SubsetPoly, strategy: Strategy) -> PairSweep:
 # --- exchangeable weights -------------------------------------------------------
 
 
-def exchangeable_check(seq: Seq, find_witness: bool = True) -> RayleighVerdict:
+def exchangeable_check(seq: Seq) -> RayleighVerdict:
     """Exact Rayleigh test for the exchangeable weights sum(a_k e_k) of `seq`.
 
     An exchangeable partition function is Rayleigh iff its coefficient
     sequence is log-concave with no internal zeros: the ladder conditions a0
     and a2 of `sequences.check_condition`.  Refutations carry the first a0
-    violation, else the first a2 one, as an index k in 0..m; for small m an
-    explicit refuting point is also found by pushing the other variables
-    toward 0/infinity along a dyadic ladder.
+    violation, else the first a2 one, as an index k in 0..m.  For m <= 8 an
+    explicit refuting point is also sought by pushing the other variables
+    toward 0/infinity along a dyadic ladder; the ladder may find none, and
+    then the verdict carries the index alone.
     """
     m = seq.m
     if m is None:
@@ -325,35 +325,23 @@ def exchangeable_check(seq: Seq, find_witness: bool = True) -> RayleighVerdict:
         bad = check_condition(seq, "a2").witness
     if bad is None:
         return RayleighVerdict("verified", method="exchangeable")
-    witness = value = pair = None
-    if find_witness and 2 <= m <= 8:
-        found = _exchangeable_witness(seq, bad)
-        if found is not None:
-            pair, witness, value = found
-    return RayleighVerdict("refuted", pair=pair, witness=witness, value=value, index=bad)
-
-
-def _exchangeable_witness(seq: Seq, k: int):
-    """Explicit negative point for a log-concavity violation at index k."""
-    m = seq.m
+    if not 2 <= m <= 8:
+        return RayleighVerdict("refuted", index=bad)
     z = symseq_to_poly(seq)
     labels = z.ground.labels
-    if k == 0 or k == m:
-        # violation from an internal zero at the boundary of the support
-        k = max(1, min(m - 1, k))
+    # an internal zero at the boundary of the support moves the pair inward
+    k = max(1, min(m - 1, bad))
     e, f = labels[k - 1], labels[k]
-    sub, den, pairs = rayleigh_pairs(z, e, f)
-    for step in range(1, 41):
-        t = Fraction(1, 2**step)
-        point = {}
-        for i, lab in enumerate(sub.labels):
-            point[lab] = 1 / t if i < k - 1 else t
-        num, scale = pair_value(sub.coordinates(point), step, den, *pairs)
-        if num < 0:
-            value = Fraction(num, scale)
-            _recheck_witness(z, e, f, point, value)
-            return (e, f), point, value
-    return None
+    rest = labels[: k - 1] + labels[k + 1 :]
+    # every ladder coordinate 2^(+-step), step <= 40, is a multiple of 2^-40
+    ladder = (
+        {lab: Fraction(2**step) if i < k - 1 else Fraction(1, 2**step) for i, lab in enumerate(rest)}
+        for step in range(1, 41)
+    )
+    _, point, value = _first_negative(z, e, f, ladder, 40)
+    if point is None:
+        return RayleighVerdict("refuted", index=bad)
+    return RayleighVerdict("refuted", pair=(e, f), witness=point, value=value, index=bad)
 
 
 @dataclass(frozen=True)
@@ -622,7 +610,7 @@ def estimate_qc(
         tested = []
         for num in (1, 2, 3, 4):
             q0 = Fraction(num, 4)
-            verdict = exchangeable_check(uniform_potts_symseq(m, r, q0), find_witness=False)
+            verdict = exchangeable_check(uniform_potts_symseq(m, r, q0))
             tested.append((q0, verdict.status))
         refuted = min((q for q, s in tested if s == "refuted"), default=None)
         verified = [q for q, s in tested if s == "verified"]

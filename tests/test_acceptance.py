@@ -19,7 +19,7 @@ from rayleigh_forge.matroids import (
 from rayleigh_forge.polynomials import rayleigh_diff
 from rayleigh_forge.potts import Model, model_poly, uniform_potts_symseq
 from rayleigh_forge.prng import DEFAULT_SEED
-from rayleigh_forge.rayleigh import CertificateStrategy, check_all, exchangeable_check
+from rayleigh_forge.rayleigh import CoeffStrategy, check_all, exchangeable_check
 from rayleigh_forge.sequences import check_condition, seq_from_values
 
 F = Fraction
@@ -59,7 +59,7 @@ def test_criterion_02_k4_certificates():
     certs = k4_certificates()
     residue = opposite - certs[("1", "6")].expand(opposite.ground)
     assert residue.is_coefficientwise_nonnegative()
-    assert check_all(z, CertificateStrategy(certs)).summary == "verified"
+    assert check_all(z, CoeffStrategy(certs)).summary == "verified"
     assert time.perf_counter() - start < 1.0
 
 
@@ -67,11 +67,9 @@ def test_criterion_03_uniform_exchangeable_grid():
     for m in range(1, 11):
         for r in range(m + 1):
             for q0 in (F(1, 4), F(1, 2), F(9, 10), F(1)):
-                verdict = exchangeable_check(uniform_potts_symseq(m, r, q0), find_witness=False)
+                verdict = exchangeable_check(uniform_potts_symseq(m, r, q0))
                 assert verdict.verified, (m, r, q0)
-            refuted = exchangeable_check(
-                uniform_potts_symseq(m, r, F(2)), find_witness=False
-            ).refuted
+            refuted = exchangeable_check(uniform_potts_symseq(m, r, F(2))).refuted
             assert refuted == (0 < r < m), (m, r)
 
 

@@ -365,6 +365,18 @@ class TestRayleighCheck:
         )
         assert code == 0
 
+    def test_cert_without_certificate_judges_like_coeff(self, files, capsys):
+        # a pair no certificate covers is judged on D's own coefficients
+        argv = ["rayleigh", "check", files["k4"], "--model", "independent", "--strategy"]
+        _, coeff = run_json(files, argv + ["coeff"], capsys)
+        _, cert = run_json(files, argv + ["cert"], capsys)
+        assert (coeff["results"].pop("strategy"), cert["results"].pop("strategy")) == ("coeff", "cert")
+        assert cert["results"] == coeff["results"]
+        methods = {v.get("method") for v in cert["results"]["verdicts"].values()}
+        assert methods == {"coeff-positive", None}
+        _, certified = run_json(files, argv + ["cert", "--pair", "1,6", "--certificate", files["cert"]], capsys)
+        assert certified["results"]["verdicts"]["1,6"]["method"] == "certificate"
+
     def test_certificate_repeated_label_refused(self, files, capsys):
         argv = ["rayleigh", "check", files["k4"], "--model", "independent", "--strategy", "cert",
                 "--pair", "1,6", "--certificate", files["dup_cert"]]

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +20,6 @@ from rayleigh_forge.polynomials import (
 from rayleigh_forge.potts import Model, model_poly, potts_poly, uniform_potts_symseq
 from rayleigh_forge.prng import DEFAULT_SEED, SplitMix64, derive, log_uniform_fraction, sample_point
 from rayleigh_forge.rayleigh import (
-    CertificateStrategy,
     CoeffStrategy,
     RayleighVerdict,
     SampleStrategy,
@@ -135,12 +138,12 @@ class TestStrategies:
     def test_certificate_covers_k4_opposite_pair(self):
         z = model_poly(graphic_matroid(complete_graph(4)), Model("independent")).poly
         assert not rayleigh_diff(z, "1", "6").is_coefficientwise_nonnegative()
-        verdict = check_pair(z, "1", "6", CertificateStrategy(k4_certificates()))
+        verdict = check_pair(z, "1", "6", CoeffStrategy(k4_certificates()))
         assert verdict.verified and verdict.method == "certificate"
 
     def test_empty_certificate_falls_back_to_coeff(self):
         z = model_poly(uniform_matroid(3, 2), Model("bases")).poly
-        assert check_pair(z, "1", "2", CertificateStrategy()).verified
+        assert check_pair(z, "1", "2", CoeffStrategy()).verified
 
     def test_certificate_validation(self):
         with pytest.raises(ValueError):
@@ -190,11 +193,11 @@ class TestExchangeable:
         assert exchangeable_check(Seq(0, (F(1), F(3), F(3), F(1)), 3)).verified
 
     def test_violation_index(self):
-        verdict = exchangeable_check(Seq(0, (F(1), F(1), F(4), F(1)), 3), find_witness=False)
+        verdict = exchangeable_check(Seq(0, (F(1), F(1), F(4), F(1)), 3))
         assert verdict.refuted and verdict.index == 1
 
     def test_internal_zero_refuted(self):
-        verdict = exchangeable_check(Seq(0, (F(1), F(0), F(1)), 2), find_witness=False)
+        verdict = exchangeable_check(Seq(0, (F(1), F(0), F(1)), 2))
         assert verdict.refuted and verdict.index == 1
 
     def test_witness_reevaluates_negative(self):
@@ -205,6 +208,19 @@ class TestExchangeable:
         e, f = verdict.pair
         rest = dict(verdict.witness)
         assert rayleigh_diff(z, e, f).evaluate(rest) == verdict.value < 0
+
+    @pytest.mark.parametrize(
+        "entries, pair, point, value",
+        [
+            ((1, 1, 4, 1), ("1", "2"), {"3": F(1, 4)}, F(-21, 16)),
+            ((1, 3, 1, 1, 5), ("2", "3"), {"1": F(2), "4": F(1, 2)}, F(-77, 2)),
+        ],
+    )
+    def test_ladder_witness_pinned(self, entries, pair, point, value):
+        # the whole ladder is read at the one shift 40, and each step's
+        # value is exact, so the first negative point is fixed
+        verdict = exchangeable_check(Seq(0, tuple(map(F, entries)), len(entries) - 1))
+        assert (verdict.pair, verdict.witness, verdict.value) == (pair, point, value)
 
     def test_witness_skew_raises(self, monkeypatch):
         # the point evaluator off by one: the ladder's value no longer agrees
@@ -239,7 +255,7 @@ class TestExchangeable:
                 mono_ok = check_pair(z, labels[i], labels[j], SampleStrategy(40, seed=4))
                 if mono_ok.refuted:
                     any_negative = True
-        verdict = exchangeable_check(seq, find_witness=False)
+        verdict = exchangeable_check(seq)
         if any_negative:
             assert verdict.refuted
 
@@ -267,7 +283,7 @@ def reference_exchangeable_index(a) -> int | None:
 def test_exchangeable_matches_inline_reference(entries):
     # exchangeable_check reads the ladder's a0 and a2 scans; the inline scans
     # they replaced stay here as the reference for status and index
-    verdict = exchangeable_check(Seq(0, tuple(entries), len(entries) - 1), find_witness=False)
+    verdict = exchangeable_check(Seq(0, tuple(entries), len(entries) - 1))
     bad = reference_exchangeable_index(entries)
     assert verdict.verified == (bad is None)
     assert verdict.index == bad
@@ -378,6 +394,14 @@ class TestTriple:
         assert not report.decomposition_ok
         assert report.holds
 
+    def test_negative_theta_without_slack_fails(self):
+        # Z = 1 + y1 y2 y3: D(1,2) = -y3, so theta = -1 while both slice
+        # differences vanish, and theta^2 <= 4 * 0 * 0 fails at every point
+        z = SubsetPoly(GroundSet(("1", "2", "3")), {0: F(1), 0b111: F(1)})
+        report = triple_condition_check(z, "1", "2", "3", samples=5, seed=1)
+        assert report.decomposition_ok
+        assert not report.holds
+
     def test_zero_samples_refused(self):
         # holds over zero points would be vacuous
         z = model_poly(graphic_matroid(complete_graph(4)), Model("independent")).poly
@@ -419,10 +443,10 @@ class TestEstimateQc:
         real = rayleigh.exchangeable_check
         refuted_seqs = [uniform_potts_symseq(4, 2, q) for q in refuted_qs]
 
-        def refute_at(seq, find_witness=True):
+        def refute_at(seq):
             if seq in refuted_seqs:
                 return RayleighVerdict("refuted", index=1)
-            return real(seq, find_witness)
+            return real(seq)
 
         monkeypatch.setattr(rayleigh, "exchangeable_check", refute_at)
         bracket = estimate_qc(uniform_matroid(4, 2))
@@ -431,6 +455,18 @@ class TestEstimateQc:
         assert bracket.passed == passed
         assert bracket.passed < bracket.refuted
         assert bracket.exact == (F(1) in refuted_qs)
+
+    def test_qc_scan_script(self):
+        # the script brackets each subject once; only the uniform ones are exact
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        argv = [sys.executable, str(root / "scripts" / "qc_scan.py"), "--resolution", "2", "--budget", "4"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        names = ["uniform-4-2", "uniform-6-3", "triangle", "square", "k4", "path-4", "u42+u42"]
+        assert [line.split()[0] for line in lines] == names
+        assert [line.endswith("[exact]") for line in lines] == [True, True] + [False] * 5
 
     def test_bisection_path(self):
         bracket = estimate_qc(graphic_matroid(complete_graph(4)), resolution=4, budget=32, seed=DEFAULT_SEED)
