@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .matroids import Matroid, enumerate_family, rank_table
 from .polynomials import GroundSet, SubsetPoly, multiply_disjoint
 from .prng import derive, sample_point, unit_fraction
 from .scalars import LaurentQ, clear_denominators
 from .sequences import Seq
-from .words import compress, expand, popcount
+from .words import expand, popcount
 
 MODEL_KINDS = ("bases", "independent", "spanning", "potts")
 
@@ -115,15 +116,25 @@ def potts_slices(matroid: Matroid) -> dict[str, dict[str, bool]]:
                        outside the closure of S
       spanned_sum      (Z^g - Z_g) / (1 - q)  =  sum over S with g inside
                        the closure of S
-    A symbolic identity holds at every fixed q as well.  The sampled
+    The identities are symbolic in q, and they are decided exactly at the
+    one point q0 = 2^-8.  Write x = 1/q.  For each subset word, each side
+    of each identity is a sum of at most two monomials +-x^k (spanned_sum
+    is compared as (Z^g - Z_g) x = spanned (x - 1)), so the difference of
+    the two sides is a Laurent polynomial R in x with integer coefficients
+    of absolute value at most 4.  If R is nonzero, its lowest term c x^k
+    has 0 < |c| < X, and R(X) = X^k (c + X * (an integer)) cannot vanish
+    at x = X.  So R(X) = 0 exactly when R = 0, for any X = 2^B >= 5, and
+    the fixed-q route reads the symbolic identities at X = 2^8 in exact
+    rationals, with no polynomial arithmetic in q.  The sampled
     inequalities q Z^g < Z_g <= Z^g (equality exactly for coloops) are
     `slice_inequality_scan`'s job.
     """
-    mp = potts_poly(matroid)
+    q0 = Fraction(1, 1 << 8)
+    mp = potts_poly(matroid, q0)
     z = mp.poly
     ground = z.ground
     table = rank_table(matroid)
-    q_inv = LaurentQ.q_power(-1)
+    q_inv = 1 / q0
     report: dict[str, dict[str, bool]] = {}
     for label in ground.labels:
         if matroid.is_loop(label):
@@ -132,30 +143,24 @@ def potts_slices(matroid: Matroid) -> dict[str, dict[str, bool]]:
         sub = ground.without(label)
         pos = tuple(map(ground.index, sub.labels))
         del_poly = z.delete(label)
-        con_poly = z.contract(label).scale(mp.model.q)
+        con_poly = z.contract(label).scale(q0)
         identities = {
-            "deleted_matches_minor": del_poly == potts_poly(matroid.delete(label)).poly,
-            "contracted_matches_minor": con_poly == potts_poly(matroid.contract(label)).poly,
+            "deleted_matches_minor": del_poly == potts_poly(matroid.delete(label), q0).poly,
+            "contracted_matches_minor": con_poly == potts_poly(matroid.contract(label), q0).poly,
         }
 
-        # reconstruction: compare coefficients of Z against Z^g + q^-1 y_g Z_g
+        # reconstruction compares each coefficient of Z against Z^g + q^-1 y_g Z_g;
+        # the weight of S in the closure split is Z's own coefficient q^-rank(S)
         recon = True
-        for w, c in z.terms.items():
-            if w & bit:
-                expect = q_inv * con_poly.coeff(compress(w, pos))
-            else:
-                expect = del_poly.coeff(compress(w, pos))
-            if c != expect:
-                recon = False
-                break
-        identities["reconstruction"] = recon
-
-        # the weight of S is Z's own coefficient q^-rank(S)
-        spanned: dict[int, LaurentQ] = {}
-        unspanned: dict[int, LaurentQ] = {}
+        spanned: dict[int, Fraction] = {}
+        unspanned: dict[int, Fraction] = {}
         for w in sub.subsets():
             orig = expand(w, pos)
-            (spanned if table[orig | bit] == table[orig] else unspanned)[w] = z.terms[orig]
+            c = z.terms[orig]
+            if c != del_poly.coeff(w) or z.terms[orig | bit] != q_inv * con_poly.coeff(w):
+                recon = False
+            (spanned if table[orig | bit] == table[orig] else unspanned)[w] = c
+        identities["reconstruction"] = recon
 
         lhs_b = del_poly - con_poly.scale(q_inv)
         rhs_b = SubsetPoly(sub, unspanned).scale(1 - q_inv)
@@ -193,14 +198,20 @@ def slice_inequality_scan(
 ) -> list[SliceScan]:
     """The sampled slice inequalities for every non-loop element at once.
 
-    Monomial values and q-powers are shared across elements per point, so the
-    cost is samples * 2^m * m rather than per-element re-evaluation.  All
-    sums are Python ints: with y_i = n_i / D over the lcm D of the point's
-    denominators and q0 = a / b, the monomial y^w * D^m is the int
-    prod(n_i) * D^(m - |w|) and q0^-k * a^r is the int b^k * a^(r - k).  So
-    every deletion and contraction sum is an int over the one positive
-    denominator a^r * D^m, and q0 * del < con, con <= del and con == del
-    are decided as a * del < b * con, con <= del and con == del.
+    All sums are Python ints: with y_i = n_i / D over the lcm D of the
+    point's denominators and q0 = a / b, the monomial y^w * D^m is the int
+    prod(n_i) * D^(m - |w|), built for every word by doubling, and
+    q0^-k * a^r is the int b^k * a^(r - k).  Each point costs one table
+    base[w] = y^w * q0^-rank(w), scaled by a^r * D^m, and m halving folds
+    of it: inc_i, the sum of base over the words that hold i, is the sum of
+    the upper half once the bits above i are folded away.  That is about
+    samples * 2^m * 4 int operations, whatever the number of elements.
+    The deletion sum is total - inc_i, and the contraction sum needs no
+    second rank lookup: with w' = w + i,
+    q0^-(rank(w') - 1) * y^w = q0^-rank(w') * y^w' * (a D) / (b n_i), so
+    con_i = inc_i * a D / (b n_i).  Cleared of these positive factors,
+    q0 * del < con, con <= del and con == del are decided as
+    n_i del < D inc_i, a D inc_i <= b n_i del and a D inc_i == b n_i del.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, not {samples}")
@@ -209,7 +220,6 @@ def slice_inequality_scan(
     if m > 20:
         raise ValueError("scan enumerates 2^m terms; m capped at 20")
     labels = ground.labels
-    full = ground.full
     r = matroid.r
     loop = [matroid.is_loop(lab) for lab in labels]
     coloop = [matroid.is_coloop(lab) for lab in labels]
@@ -223,35 +233,30 @@ def slice_inequality_scan(
         q0 = unit_fraction(rng)
         point = sample_point(rng, labels)
         num, den = clear_denominators(point[lab] for lab in labels)
-        dpow = [den**k for k in range(m + 1)]
-        mono = [1] * (full + 1)
-        for w in range(1, full + 1):
-            low = w & -w
-            mono[w] = mono[w ^ low] * num[low.bit_length() - 1]
+        y = [1]
+        for n in num:
+            y = [*map(den.__mul__, y), *map(n.__mul__, y)]
         a, b = q0.numerator, q0.denominator
         qpow = [b**k * a ** (r - k) for k in range(r + 1)]
-        del_sum = [0] * m
-        con_sum = [0] * m
-        for w in range(full + 1):
-            yw = mono[w] * dpow[m - popcount(w)]
-            base = qpow[rank[w]] * yw
-            rest = full & ~w
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                i = low.bit_length() - 1
-                if loop[i]:
-                    continue
-                del_sum[i] += base
-                con_sum[i] += qpow[rank[w | low] - 1] * yw
+        # fold the top bit away each round: its upper half sums to inc_i
+        folded = list(map(mul, y, map(qpow.__getitem__, rank)))
+        inc = [0] * m
+        for i in reversed(range(m)):
+            half = 1 << i
+            inc[i] = sum(folded[half:])
+            folded = list(map(add, folded[:half], folded[half:]))
+        total = folded[0]
         for i in range(m):
             if loop[i]:
                 continue
-            if not a * del_sum[i] < b * con_sum[i]:
+            # del and con / q0, both times n_i at one positive scale
+            n_del = (total - inc[i]) * num[i]
+            d_inc = den * inc[i]
+            if not n_del < d_inc:
                 strict_ok[i] = False
-            if not con_sum[i] <= del_sum[i]:
+            if not a * d_inc <= b * n_del:
                 weak_ok[i] = False
-            if con_sum[i] == del_sum[i]:
+            if a * d_inc == b * n_del:
                 eq_count[i] += 1
     return [
         SliceScan(
@@ -348,8 +353,9 @@ def _divide_one_minus_q(poly: SubsetPoly, model: Model) -> SubsetPoly:
             poly.ground,
             {w: LaurentQ.coerce(c).divide_by_one_minus_q() for w, c in poly.terms.items()},
         )
-    scale = 1 / (1 - model.q0)
-    return poly.scale(scale)
+    if model.q0 == 1:
+        raise ValueError("cannot divide by (1 - q): it vanishes at q = 1")
+    return poly.scale(1 / (1 - model.q0))
 
 
 # --- q -> 0 scaling limits -------------------------------------------------------

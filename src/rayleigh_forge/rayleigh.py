@@ -459,6 +459,23 @@ def _upward_closed_families(universe_size: int) -> tuple[frozenset[int], ...]:
     return tuple(families)
 
 
+@cache
+def _upset_chain(universe_size: int) -> tuple[tuple[int, int], ...]:
+    """(parent, word) for each non-empty upward-closed family, in `_upward_closed_families` order.
+
+    Family j + 1 is family `parent` plus `word`, a word of least size in it:
+    removing a minimal word keeps a family upward closed, and the parent's
+    pick mask is a sub-mask of the family's, so the parent comes earlier.
+    """
+    fams = _upward_closed_families(universe_size)
+    index = {fam: j for j, fam in enumerate(fams)}
+    chain = []
+    for fam in fams[1:]:
+        word = min(fam, key=lambda w: (w.bit_count(), w))
+        chain.append((index[fam - {word}], word))
+    return tuple(chain)
+
+
 @dataclass(frozen=True)
 class AssociationReport:
     pairs_checked: int
@@ -478,12 +495,17 @@ def negative_association_check(
     """P(A and B) <= P(A) P(B) for all upward-closed events on disjoint blocks.
 
     Exhaustive over every pair of upward-closed families on the two blocks
-    (block sizes capped at 3: 20 families each).  Each term's mass lands in
-    the cell (trace on block 1, trace on block 2) of a table with at most
-    8 x 8 cells; the cells are scaled by the lcm L of their denominators to
-    Python ints, and P(A), P(B), P(A and B) and the total are integer sums
-    of cells.  The test p12 * total > p1 * p2 has degree two on both sides,
-    so the common factor L^2 > 0 cannot flip it.
+    (block sizes capped at 3: 20 families each).  Everything is a Python
+    int over one positive scale: with y_i = n_i / D over the lcm D of the
+    point's denominators and the coefficients c * L over the lcm L of
+    theirs, the monomial y^w * D^m is the int built for every word by
+    doubling, and each term's mass lands in the cell (trace on block 1,
+    trace on block 2) of a table with at most 8 x 8 cells.  The families
+    are walked along `_upset_chain`, each one an earlier family plus one
+    word, so each family's P(A), each row of P(A and .) and each
+    P(A and B) costs one addition.  The test p12 * total > p1 * p2 has
+    degree two on both sides, so the common factor (L D^m)^2 > 0 cannot
+    flip it.
     """
     if not z.is_rational():
         raise TypeError("association check needs rational coefficients")
@@ -495,29 +517,41 @@ def negative_association_check(
         raise ValueError("blocks must partition the ground set")
     if len(b1) > 3 or len(b2) > 3:
         raise ValueError("block size capped at 3")
-    vals = _coordinates(z, point)
+    num, den = clear_denominators(_coordinates(z, point))
+    y = [1]
+    for n in num:
+        y = [*map(den.__mul__, y), *map(n.__mul__, y)]
+    coeffs, _ = clear_denominators(z.terms.values())
 
     pos1 = tuple(map(z.ground.index, b1))
     pos2 = tuple(map(z.ground.index, b2))
     n1, n2 = 1 << len(b1), 1 << len(b2)
-    cells = [[Fraction(0)] * n2 for _ in range(n1)]
-    for w, c in z.terms.items():
-        cells[compress(w, pos1)][compress(w, pos2)] += term_value(c, vals, w)
-    flat, _ = clear_denominators(cell for row in cells for cell in row)
-    cells = [flat[i * n2 : (i + 1) * n2] for i in range(n1)]
-    row_sum = [sum(row) for row in cells]
-    col_sum = [sum(col) for col in zip(*cells)]
+    rows = [[0] * n2 for _ in range(n1)]
+    for w, c in zip(z.terms, coeffs):
+        rows[compress(w, pos1)][compress(w, pos2)] += c * y[w]
+    row_sum = [sum(row) for row in rows]
+    col_sum = [sum(col) for col in zip(*rows)]
     total = sum(row_sum)
 
+    # P(A), the row P(A and .) and P(B), one family after another along the chains
+    chain1 = _upset_chain(len(b1))
+    chain2 = _upset_chain(len(b2))
+    p1s = [0]
+    in_fam1s = [[0] * n2]
+    for parent, word in chain1:
+        p1s.append(p1s[parent] + row_sum[word])
+        in_fam1s.append([a + b for a, b in zip(in_fam1s[parent], rows[word])])
+    p2s = [0]
+    for parent, word in chain2:
+        p2s.append(p2s[parent] + col_sum[word])
     fams1 = _upward_closed_families(len(b1))
     fams2 = _upward_closed_families(len(b2))
-    p2s = [sum(col_sum[t2] for t2 in fam2) for fam2 in fams2]
     violations = []
-    for fam1 in fams1:
-        p1 = sum(row_sum[t1] for t1 in fam1)
-        in_fam1 = [sum(cells[t1][t2] for t1 in fam1) for t2 in range(n2)]
-        for fam2, p2 in zip(fams2, p2s):
-            p12 = sum([in_fam1[t2] for t2 in fam2])
+    for fam1, p1, in_fam1 in zip(fams1, p1s, in_fam1s):
+        p12s = [0]
+        for parent, word in chain2:
+            p12s.append(p12s[parent] + in_fam1[word])
+        for fam2, p12, p2 in zip(fams2, p12s, p2s):
             if p12 * total > p1 * p2:
                 violations.append((fam1, fam2))
     return AssociationReport(pairs_checked=len(fams1) * len(fams2), violations=tuple(violations))

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from rayleigh_forge import matroids
 from rayleigh_forge.matroids import (
     Graph,
+    Matroid,
     complete_graph,
     cycle_graph,
     enumerate_family,
@@ -35,7 +37,7 @@ from rayleigh_forge.potts import (
 from rayleigh_forge.prng import derive, sample_point
 from rayleigh_forge.scalars import LaurentQ
 from rayleigh_forge.sequences import symmetrize
-from rayleigh_forge.words import popcount
+from rayleigh_forge.words import compress, expand, popcount
 
 F = Fraction
 
@@ -140,6 +142,99 @@ class TestSlices:
             slice_inequality_scan(uniform_matroid(4, 2), samples=0)
 
 
+# --- the Kronecker route against the symbolic one ---------------------------
+
+
+def ref_slices(matroid):
+    """The five slice identities decided over `LaurentQ`, symbolically in q."""
+    mp = potts_poly(matroid)
+    z = mp.poly
+    ground = z.ground
+    table = rank_table(matroid)
+    q_inv = LaurentQ.q_power(-1)
+    report = {}
+    for label in ground.labels:
+        if matroid.is_loop(label):
+            continue
+        bit = ground.bit(label)
+        sub = ground.without(label)
+        pos = tuple(map(ground.index, sub.labels))
+        del_poly = z.delete(label)
+        con_poly = z.contract(label).scale(mp.model.q)
+        identities = {
+            "deleted_matches_minor": del_poly == potts_poly(matroid.delete(label)).poly,
+            "contracted_matches_minor": con_poly == potts_poly(matroid.contract(label)).poly,
+        }
+        recon = True
+        for w, c in z.terms.items():
+            if w & bit:
+                expect = q_inv * con_poly.coeff(compress(w, pos))
+            else:
+                expect = del_poly.coeff(compress(w, pos))
+            if c != expect:
+                recon = False
+                break
+        identities["reconstruction"] = recon
+        spanned = {}
+        unspanned = {}
+        for w in sub.subsets():
+            orig = expand(w, pos)
+            (spanned if table[orig | bit] == table[orig] else unspanned)[w] = z.terms[orig]
+        lhs_b = del_poly - con_poly.scale(q_inv)
+        rhs_b = SubsetPoly(sub, unspanned).scale(1 - q_inv)
+        identities["spanned_excluded"] = lhs_b == rhs_b
+        gap = del_poly - con_poly
+        quot = SubsetPoly(sub, {w: c.divide_by_one_minus_q() for w, c in gap.terms.items()})
+        identities["spanned_sum"] = quot == SubsetPoly(sub, spanned)
+        report[label] = identities
+    return report
+
+
+def monotone_oracle(m, raw):
+    """A rank oracle on m elements, raw closed upward by max over subsets.
+
+    Not a matroid in general: ranks may jump by 2, and the empty set may
+    have rank above 0.  Monotone ranks keep every minor's ranks between 0
+    and its own full rank, so the Potts weights of both minors exist.
+    """
+    table = list(raw)
+    for w in range(1 << m):
+        for i in range(m):
+            if w >> i & 1:
+                table[w] = max(table[w], table[w ^ 1 << i])
+    return Matroid(GroundSet("abcd"[:m]), table.__getitem__, check=False)
+
+
+@st.composite
+def rank_oracles(draw):
+    m = draw(st.integers(1, 4))
+    return monotone_oracle(m, draw(st.lists(st.integers(0, 3), min_size=1 << m, max_size=1 << m)))
+
+
+class TestKroneckerSlices:
+    @settings(max_examples=150, deadline=None)
+    @given(rank_oracles())
+    def test_matches_symbolic_off_matroids(self, matroid):
+        assert potts_slices(matroid) == ref_slices(matroid)
+
+    def test_false_identities_match(self):
+        # negative control: oracles that are not matroids break identities,
+        # and both routes must report the same ones broken
+        rng = random.Random(33)
+        broken = set()
+        for _ in range(150):
+            m = rng.randint(1, 4)
+            matroid = monotone_oracle(m, [rng.randint(0, 3) for _ in range(1 << m)])
+            report = potts_slices(matroid)
+            assert report == ref_slices(matroid)
+            broken |= {key for identities in report.values() for key, ok in identities.items() if not ok}
+        assert broken == {"contracted_matches_minor", "spanned_excluded", "spanned_sum"}
+
+    def test_matches_symbolic_on_the_corpus(self):
+        for name, matroid in corpus_matroids():
+            assert potts_slices(matroid) == ref_slices(matroid), name
+
+
 def _triangle(prefix: str):
     return graphic_matroid(
         Graph(3, ((0, 1, prefix + "1"), (1, 2, prefix + "2"), (2, 0, "g")))
@@ -166,6 +261,13 @@ class TestTwoSumCompose:
         model = Model("potts", F(1))
         with pytest.raises(ValueError):
             twosum_compose(model_poly(left, model), model_poly(right, model), "g")
+
+    def test_glue_weights_refuse_q_one(self):
+        # (1 - q) vanishes at q = 1: a ValueError that says so, not a ZeroDivisionError;
+        # twosum_compose refuses q = 1 before it asks for glue weights
+        mp = model_poly(uniform_matroid(3, 2), Model("potts", F(1)))
+        with pytest.raises(ValueError, match=r"\(1 - q\).*vanishes at q = 1"):
+            glue_weights(mp, "1")
 
     def test_rejects_model_mismatch(self):
         left, right = _triangle("a"), _triangle("b")

@@ -24,7 +24,13 @@ from rayleigh_forge.matroids import (
 from rayleigh_forge.polynomials import GroundSet, SubsetPoly
 from rayleigh_forge.potts import SliceScan, slice_inequality_scan
 from rayleigh_forge.prng import derive, sample_point, unit_fraction
-from rayleigh_forge.rayleigh import AssociationReport, negative_association_check
+from rayleigh_forge.corpus import corpus_matroids
+from rayleigh_forge.rayleigh import (
+    AssociationReport,
+    _upset_chain,
+    _upward_closed_families,
+    negative_association_check,
+)
 
 F = Fraction
 
@@ -104,6 +110,35 @@ def test_association_reference_sees_violations():
     assert len(got.violations) > 1
 
 
+def test_association_order_on_three_by_three_blocks():
+    # both halves weigh together: most family pairs are violations, and the
+    # reference fixes the order in which they are reported
+    z = SubsetPoly(
+        GroundSet("abcdef"),
+        {0: F(1), 0b000111: F(2, 3), 0b111000: F(5, 7), 0b111111: F(4), 0b001001: F(3), 0b010010: F(1, 3)},
+    )
+    point = {lab: F(i + 1, 3) for i, lab in enumerate("abcdef")}
+    got = negative_association_check(z, ("a", "b", "c"), ("d", "e", "f"), point)
+    assert got == ref_association(z, ("a", "b", "c"), ("d", "e", "f"), point)
+    assert got.pairs_checked == 400
+    assert len(got.violations) == 289
+    assert len({fam1 for fam1, _ in got.violations}) == 18
+
+
+@pytest.mark.parametrize("size, count", [(0, 2), (1, 3), (2, 6), (3, 20)])
+def test_upset_chain_builds_each_family_from_an_earlier_one(size, count):
+    fams = _upward_closed_families(size)
+    chain = _upset_chain(size)
+    assert fams[0] == frozenset()
+    assert len(fams) == len(set(fams)) == count
+    assert set(fams) == set(ref_families(size))
+    assert len(chain) == count - 1
+    for j, (parent, word) in enumerate(chain, start=1):
+        assert parent < j
+        assert word not in fams[parent]
+        assert fams[j] == fams[parent] | {word}
+
+
 # --- slice inequality scan --------------------------------------------------------
 
 
@@ -167,13 +202,17 @@ SCAN_MATROIDS = {
     # boundary that tells the strict lower comparison from a weak one
     "constant-rank-1": Matroid(GroundSet("abc"), lambda w: 1, check=False),
 }
+# the two largest corpus matroids (m = 10): the halving folds run at every
+# bit position of a full-width table; the Fraction reference is slow there
+SCAN_MATROIDS.update(sorted(corpus_matroids(), key=lambda item: item[1].ground.m)[-2:])
 
 
 @pytest.mark.parametrize("seed", [0xD1CE, 1, 7])
 @pytest.mark.parametrize("name", list(SCAN_MATROIDS))
 def test_scan_matches_fraction_reference(name, seed):
     matroid = SCAN_MATROIDS[name]
-    assert slice_inequality_scan(matroid, samples=6, seed=seed) == ref_scan(matroid, 6, seed)
+    samples = 2 if matroid.ground.m >= 10 else 6
+    assert slice_inequality_scan(matroid, samples=samples, seed=seed) == ref_scan(matroid, samples, seed)
 
 
 @st.composite
