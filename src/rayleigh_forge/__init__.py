@@ -72,7 +72,7 @@ from .rayleigh import (
     symmetrize_and_check,
     triple_condition_check,
 )
-from .scalars import LaurentQ, format_rat, parse_rat
+from .scalars import SYMBOLIC_Q, format_rat, parse_rat, q_exponent
 from .sequences import (
     Seq,
     check_condition,

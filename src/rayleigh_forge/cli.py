@@ -24,6 +24,8 @@ from .fileio import (
     parse_graph_file,
     parse_weight_file,
     poly_payload,
+    q_power_payload,
+    q_power_text,
 )
 from .matroids import InvariantSequences, Matroid, graphic_matroid, invariant_sequences, matroid_from_bases
 from .polynomials import SubsetPoly, poly_text
@@ -294,25 +296,35 @@ def _cmd_potts(args, seed: int, digests) -> tuple[int, dict]:
     mp = potts_poly(matroid, q0)
     q_mode = "symbolic" if q0 is None else format_rat(q0)
     print(f"{len(mp.poly.terms)} terms, q mode {q_mode}")
-    return EXIT_PASS, {"q_mode": q_mode, "terms": poly_payload(mp.poly)}
+    coeff = q_power_payload if q0 is None else format_rat
+    return EXIT_PASS, {"q_mode": q_mode, "terms": poly_payload(mp.poly, coeff)}
 
 
 def _cmd_twosum(args, seed: int, digests) -> tuple[int, dict]:
     model = _model_of(args.model, args.q)
+    symbolic = model.kind == "potts" and model.q0 is None
     sides = []
-    for path in (args.left, args.right):
+    for side, path in (("left", args.left), ("right", args.right)):
         kind, obj = _load_input(path, digests)
-        sides.append(model_poly(obj, model) if kind == "matroid" else ModelPoly(obj, model))
+        if kind == "matroid":
+            sides.append(model_poly(obj, model))
+        elif symbolic:
+            # a weight file has no q, so its glue weights are no polynomials in q
+            raise InputFormatError(
+                f"not divisible by (1 - q) on the {side} side: rational weights are not symbolic Potts slices,"
+                " so q must be given as a rational"
+            )
+        else:
+            sides.append(ModelPoly(obj, model))
     composed = twosum_compose(sides[0], sides[1], args.glue)
-    text = poly_text(composed.poly)
     print(f"{len(composed.poly.terms)} terms under the {model.kind} model")
     if len(composed.poly.terms) <= 64:
-        print(text)
+        print(poly_text(composed.poly, q_power_text if symbolic else format_rat))
     return EXIT_PASS, {
         "glue": args.glue,
         "model": model.kind,
         "q": format_rat(model.q0) if model.q0 is not None else None,
-        "terms": poly_payload(composed.poly),
+        "terms": poly_payload(composed.poly, q_power_payload if symbolic else format_rat),
     }
 
 

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import Callable, Sequence
 
 from .matroids import (
@@ -75,6 +73,7 @@ from .supports import (
     disjoint_pair_exchange_witness,
     exchange_props_check,
     flatten,
+    flatten_size_estimate,
     flattened_fresh_profile,
     full_support_check,
     is_convex,
@@ -83,7 +82,6 @@ from .supports import (
     sea_check,
     size_window_sums,
 )
-from .words import popcount
 
 
 @dataclass(frozen=True)
@@ -207,13 +205,6 @@ def _random_weight_poly(rng: SplitMix64, m: int) -> SubsetPoly:
     if not terms:
         terms[(1 << m) - 1] = Fraction(1)
     return SubsetPoly(ground, terms)
-
-
-def _flatten_size_estimate(z: SubsetPoly) -> int:
-    counts = Counter(popcount(w) for w, c in z.terms.items() if c)
-    r = max(counts)
-    ell = r - min(counts)
-    return sum(cnt * comb(ell, r - k) for k, cnt in counts.items())
 
 
 # --- items -----------------------------------------------------------------------
@@ -392,7 +383,7 @@ def _item_support_suite(ctx: CorpusContext) -> tuple[bool, str]:
                 fails.append((name, "exchange-props"))
         if m <= 7 and disjoint_pair_exchange_witness(z) is not None:
             fails.append((name, "disjoint-pair"))
-        if m <= 6 and _flatten_size_estimate(z) <= 400:
+        if m <= 6 and flatten_size_estimate(z) <= 400:
             flattened += 1
             if not flatten(z).exchange_ok:
                 fails.append((name, "flatten-exchange"))
@@ -542,7 +533,7 @@ def _item_window_flatten_equivalence(ctx: CorpusContext) -> tuple[bool, str]:
             mismatches.append((name, "equivalence"))
         if verdict.refuted and verdict.witness is not None:
             witnesses += 1
-        if window.r > window.s and z.ground.m <= 6 and _flatten_size_estimate(z) <= 400:
+        if window.r > window.s and z.ground.m <= 6 and flatten_size_estimate(z) <= 400:
             rebuilt += 1
             flat = flatten(z).weights
             for lab in z.ground.labels:

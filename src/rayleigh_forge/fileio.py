@@ -18,11 +18,12 @@ in files must not contain whitespace, commas, colons, or pipes.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 from .matroids import Graph
 from .polynomials import GroundSet, QuadPoly, SubsetPoly, from_weights
 from .rayleigh import SquareCertificate
-from .scalars import LaurentQ, format_rat, parse_rat
+from .scalars import format_rat, parse_rat, q_exponent
 
 
 class InputFormatError(ValueError):
@@ -179,24 +180,21 @@ def detect_format(text: str) -> str:
 # --- JSON payloads ------------------------------------------------------------------
 
 
-def coeff_payload(c):
-    if isinstance(c, Fraction):
-        return format_rat(c)
-    if isinstance(c, LaurentQ):
-        return laurent_payload(c)
-    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+def q_power_text(c: Fraction) -> str:
+    """A symbolic-q coefficient q^k as `poly_text` prints it: (q^k), and q^0 as (1)."""
+    k = q_exponent(c)
+    return f"(q^{k})" if k else "(1)"
 
 
-def laurent_payload(value: LaurentQ) -> dict:
-    """Dense wire form: coeffs[i] multiplies q^(min_exponent + i); zeros inside the span are "0"."""
-    lo, hi = min(value.terms, default=0), max(value.terms, default=-1)
-    return {"min_exponent": lo, "coeffs": [format_rat(value.terms.get(k, 0)) for k in range(lo, hi + 1)]}
+def q_power_payload(c: Fraction) -> dict:
+    """A symbolic-q coefficient q^k in the dense Laurent wire form {"min_exponent": k, "coeffs": ["1"]}."""
+    return {"min_exponent": q_exponent(c), "coeffs": ["1"]}
 
 
-def poly_payload(p: SubsetPoly | QuadPoly) -> list[dict]:
-    """One entry per term, sorted by (support word, squared word)."""
+def poly_payload(p: SubsetPoly | QuadPoly, coeff: Callable[[Fraction], object] = format_rat) -> list[dict]:
+    """One entry per term, sorted by (support word, squared word); `coeff` writes a coefficient."""
     labels_of = p.ground.labels_of
     return [
-        {"support": list(labels_of(sup)), "squared": list(labels_of(sq)), "coeff": coeff_payload(c)}
+        {"support": list(labels_of(sup)), "squared": list(labels_of(sq)), "coeff": coeff(c)}
         for sup, sq, c in sorted(p.monomials(), key=lambda t: t[:2])
     ]

@@ -6,18 +6,18 @@ sparse multiaffine polynomial (one term per subset); `QuadPoly` allows each
 variable to reach degree two and keys its terms by the pair
 (support word, squared word) with squared <= support bitwise.  Both keep
 their terms in one dict and share its arithmetic, evaluation, printing and
-disjoint product; only the key shape differs.  Coefficients
-are exact `Fraction`s; `LaurentQ` coefficients (symbolic q) are for slices
-and two-sums only.
+disjoint product; only the key shape differs.  Coefficients are exact
+`Fraction`s: an int is converted on construction, and any other type is a
+TypeError there, so no later step tests the type.
 
-Pair products (`multiply`, `rayleigh_diff`, `theta`) run on Python ints
-and need rational coefficients: each factor is scaled by the lcm L of its
-denominators, and each summed coefficient is divided back once at the end.
-Scaling Z by L scales every pair difference by L^2, so the integer sums
-already carry the signs that the sign queries read, and the divided result
-is the exact rational difference.  `pair_value` evaluates the same signed
-integer slices at a dyadic point without building the product: with
-y_i = n_i / 2^s it sums ints equal to L^2 2^(2sk) times the value.
+Pair products (`multiply`, `rayleigh_diff`, `theta`) run on Python ints:
+each factor is scaled by the lcm L of its denominators, and each summed
+coefficient is divided back once at the end.  Scaling Z by L scales every
+pair difference by L^2, so the integer sums already carry the signs that
+the sign queries read, and the divided result is the exact rational
+difference.  `pair_value` evaluates the same signed integer slices at a
+dyadic point without building the product: with y_i = n_i / 2^s it sums
+ints equal to L^2 2^(2sk) times the value.
 
 The central construction is the Rayleigh difference
 
@@ -33,9 +33,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .scalars import clear_denominators, format_rat
+from .scalars import as_fraction, clear_denominators, format_rat
 from .words import bit_positions, compress, popcount, term_value
 
 MAX_GROUND = 30
@@ -129,7 +129,7 @@ class _TermPoly:
         if self._bad_keys(terms, ground.full):
             raise ValueError(self._bad_key_message)
         self.ground = ground
-        self.terms = {k: Fraction(c) if isinstance(c, int) else c for k, c in terms.items() if c}
+        self.terms = {k: c if isinstance(c, Fraction) else as_fraction(c) for k, c in terms.items() if c}
 
     @classmethod
     def zero(cls, ground: GroundSet):
@@ -137,9 +137,6 @@ class _TermPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_rational(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.terms.values())
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -167,8 +164,8 @@ class _TermPoly:
     def scale(self, c):
         return type(self)(self.ground, {k: c * x for k, x in self.terms.items()})
 
-    def evaluate(self, point: Mapping[str, Fraction]):
-        """Term-by-term value at a point, in the coefficients' own type.
+    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
+        """Term-by-term value at a point.
 
         The CLI evaluates pair differences with `pair_value` on integer
         slices instead; this is the reference route.
@@ -222,26 +219,23 @@ class SubsetPoly(_TermPoly):
         return SubsetPoly(self.ground, {full ^ w: c for w, c in self.terms.items()})
 
 
-def poly_text(poly: _TermPoly) -> str:
-    """Terms by degree, then by word; a square prints as y[a]^2, a constant as its coefficient."""
+def poly_text(poly: _TermPoly, coeff_text: Callable[[Fraction], str] = format_rat) -> str:
+    """Terms by degree, then by word; a square prints as y[a]^2, a constant as its `coeff_text`."""
     labels = poly.ground.labels
     parts = []
     for sup, sq, c in sorted(poly.monomials(), key=lambda t: (popcount(t[0]) + popcount(t[1]), t[0], t[1])):
         mono = "*".join(f"y[{labels[i]}]^2" if sq >> i & 1 else f"y[{labels[i]}]" for i in bit_positions(sup))
-        cs = format_rat(c) if isinstance(c, Fraction) else f"({c})"
+        cs = coeff_text(c)
         parts.append(cs if not mono else mono if cs == "1" else f"{cs}*{mono}")
     return " + ".join(parts) or "0"
 
 
 def from_weights(ground: GroundSet, weights: Mapping[int, Fraction]) -> SubsetPoly:
     """Partition function of a nonnegative weight function with some support."""
-    for w, c in weights.items():
-        c = Fraction(c) if isinstance(c, int) else c
-        if not isinstance(c, Fraction):
-            raise TypeError("weights must be exact rationals")
+    poly = SubsetPoly(ground, weights)
+    for w, c in poly.terms.items():
         if c < 0:
             raise ValueError(f"negative weight on subset {ground.labels_of(w)}")
-    poly = SubsetPoly(ground, dict(weights))
     if poly.is_zero():
         raise ValueError("weight function has empty support")
     return poly
@@ -284,8 +278,6 @@ class QuadPoly(_TermPoly):
         return tuple(QuadPoly(sub, part) for part in parts)
 
     def min_coefficient(self) -> Fraction:
-        if not self.is_rational():
-            raise TypeError("sign queries need rational coefficients")
         return min(self.terms.values(), default=Fraction(0))
 
     def is_coefficientwise_nonnegative(self) -> bool:
@@ -303,7 +295,7 @@ class QuadPoly(_TermPoly):
 
 
 def multiply(p: SubsetPoly, q: SubsetPoly) -> QuadPoly:
-    """Product of two multiaffine polynomials on one ground set; rational only."""
+    """Product of two multiaffine polynomials on one ground set."""
     if p.ground != q.ground:
         raise ValueError("ground sets differ")
     a, da = _scaled(p.terms)
@@ -313,8 +305,6 @@ def multiply(p: SubsetPoly, q: SubsetPoly) -> QuadPoly:
 
 def _scaled(terms: Mapping[int, object]) -> tuple[dict[int, int], int]:
     """Integer numerators c * L of rational terms, with L the lcm of their denominators."""
-    if not all(isinstance(c, Fraction) for c in terms.values()):
-        raise TypeError("pair products need rational coefficients")
     ints, den = clear_denominators(terms.values())
     return dict(zip(terms, ints)), den
 
@@ -387,7 +377,7 @@ def rayleigh_diff(z: SubsetPoly, e: str, f: str) -> QuadPoly:
     """The pair difference Z_e^f Z_f^e - Z_ef Z^ef on the ground set minus {e, f}.
 
     Nonnegative on the positive orthant iff the pair {e, f} is negatively
-    correlated for every positive external field.  Rational coefficients only.
+    correlated for every positive external field.
     """
     sub, den, pairs = rayleigh_pairs(z, e, f)
     return pair_products(sub, den, *pairs)
@@ -439,7 +429,6 @@ def theta(z: SubsetPoly, e: str, f: str, g: str) -> QuadPoly:
         Z_e^{fg} Z_{fg}^e + Z_f^{eg} Z_{eg}^f - Z_g^{ef} Z_{ef}^g - Z_{efg} Z^{efg}
 
     so that  diff = diff^g + y_g * theta + y_g^2 * diff_g  holds exactly.
-    Rational coefficients only.
     """
     sub, den, pairs, _, _ = triple_pairs(z, e, f, g)
     return pair_products(sub, den, *pairs)

@@ -1,9 +1,10 @@
 """Random-cluster (Potts) partition functions and two-sum composition.
 
-The Potts weight of a subset S is q^(-rank(S)).  With symbolic q the
-coefficients are Laurent monomials; with an evaluated q0 they are exact
-rationals.  The same `ModelPoly` wrapper also carries the frozen-family
-models (bases / independent / spanning indicators).  Two-sum composition
+The Potts weight of a subset S is q^(-rank(S)), an exact rational.
+Symbolic q is the fixed-q route at q = `SYMBOLIC_Q` = 2^-8, where the
+symbolic identities below are decided exactly.  The same `ModelPoly`
+wrapper also carries the frozen-family models (bases / independent /
+spanning indicators).  Two-sum composition
 treats all four alike: each part's slices
 
     Z^g  (delete: y_g = 0)        Z_g  (contract: the y_g coefficient)
@@ -23,7 +24,7 @@ from operator import add, mul
 from .matroids import Matroid, enumerate_family, rank_table
 from .polynomials import GroundSet, SubsetPoly, multiply_disjoint
 from .prng import derive, sample_point, unit_fraction
-from .scalars import LaurentQ, clear_denominators
+from .scalars import SYMBOLIC_Q, clear_denominators
 from .sequences import Seq
 from .words import expand, popcount
 
@@ -46,13 +47,9 @@ class Model:
             raise ValueError("q0 must be positive")
 
     @property
-    def symbolic(self) -> bool:
-        return self.kind == "potts" and self.q0 is None
-
-    @property
-    def q(self):
-        """The Potts q: the symbolic `LaurentQ` q, or q0 when q is fixed."""
-        return LaurentQ.q_power(1) if self.q0 is None else self.q0
+    def q(self) -> Fraction:
+        """The Potts q: q0 when q is fixed, `SYMBOLIC_Q` when it is symbolic."""
+        return SYMBOLIC_Q if self.q0 is None else self.q0
 
 
 @dataclass(frozen=True)
@@ -70,20 +67,26 @@ class ModelPoly:
 def potts_poly(matroid: Matroid, q0: Fraction | None = None) -> ModelPoly:
     """Potts partition function: every subset weighted q^(-rank(S)).
 
-    The r + 1 weights are built once and indexed by the `rank_table`.
+    q0 = None is symbolic q, built at `SYMBOLIC_Q`.  The r + 1 weights are
+    built once and indexed by the `rank_table`.
     """
     ground = matroid.ground
     if ground.m > 20:
         raise ValueError("potts_poly enumerates 2^m terms; m capped at 20")
-    if q0 is None:
-        weights = [LaurentQ.q_power(-k) for k in range(matroid.r + 1)]
-    else:
-        q0 = Fraction(q0)
-        if q0 <= 0:
-            raise ValueError("q0 must be positive")
-        weights = [q0**-k for k in range(matroid.r + 1)]
-    terms = {w: weights[rk] for w, rk in enumerate(rank_table(matroid))}
-    return ModelPoly(SubsetPoly(ground, terms), Model("potts", q0))
+    model = Model("potts", None if q0 is None else Fraction(q0))
+    weights = [model.q**-k for k in range(matroid.r + 1)]
+    terms = {w: weights[rk] for w, rk in enumerate(_potts_ranks(matroid))}
+    return ModelPoly(SubsetPoly(ground, terms), model)
+
+
+def _potts_ranks(matroid: Matroid) -> bytes:
+    """The `rank_table`, refused if a subset (of a `check=False` oracle) outranks the ground set."""
+    table = rank_table(matroid)
+    top = max(table)
+    if top > matroid.r:
+        labels = ",".join(matroid.ground.labels_of(table.index(top)))
+        raise ValueError(f"subset {{{labels}}} has rank {top}, above the rank {matroid.r} of the ground set")
+    return table
 
 
 def model_poly(matroid: Matroid, model: Model) -> ModelPoly:
@@ -95,10 +98,8 @@ def model_poly(matroid: Matroid, model: Model) -> ModelPoly:
 
 def uniform_potts_symseq(m: int, r: int, q0: Fraction) -> Seq:
     """Exchangeable shortcut for uniform matroids: a_k = q0^(-min(r, k)), k = 0..m."""
-    q0 = Fraction(q0)
-    if q0 <= 0:
-        raise ValueError("q0 must be positive")
-    return Seq(0, tuple(q0 ** (-min(r, k)) for k in range(m + 1)), m)
+    q = Model("potts", Fraction(q0)).q
+    return Seq(0, tuple(q ** (-min(r, k)) for k in range(m + 1)), m)
 
 
 # --- slices -------------------------------------------------------------------
@@ -129,8 +130,8 @@ def potts_slices(matroid: Matroid) -> dict[str, dict[str, bool]]:
     inequalities q Z^g < Z_g <= Z^g (equality exactly for coloops) are
     `slice_inequality_scan`'s job.
     """
-    q0 = Fraction(1, 1 << 8)
-    mp = potts_poly(matroid, q0)
+    q0 = SYMBOLIC_Q
+    mp = potts_poly(matroid)
     z = mp.poly
     ground = z.ground
     table = rank_table(matroid)
@@ -145,8 +146,8 @@ def potts_slices(matroid: Matroid) -> dict[str, dict[str, bool]]:
         del_poly = z.delete(label)
         con_poly = z.contract(label).scale(q0)
         identities = {
-            "deleted_matches_minor": del_poly == potts_poly(matroid.delete(label), q0).poly,
-            "contracted_matches_minor": con_poly == potts_poly(matroid.contract(label), q0).poly,
+            "deleted_matches_minor": del_poly == potts_poly(matroid.delete(label)).poly,
+            "contracted_matches_minor": con_poly == potts_poly(matroid.contract(label)).poly,
         }
 
         # reconstruction compares each coefficient of Z against Z^g + q^-1 y_g Z_g;
@@ -223,7 +224,7 @@ def slice_inequality_scan(
     r = matroid.r
     loop = [matroid.is_loop(lab) for lab in labels]
     coloop = [matroid.is_coloop(lab) for lab in labels]
-    rank = rank_table(matroid)
+    rank = _potts_ranks(matroid)
     rng = derive(seed, 29)
 
     strict_ok = [True] * m
@@ -313,6 +314,21 @@ def twosum_compose(left: ModelPoly, right: ModelPoly, glue: str) -> ModelPoly:
     refused first.  For Potts, N must also equal the factored form
     L^g R^g - (1/(1-q)) (L^g - q L_g)(R^g - q R_g), built from the raw
     slices.
+
+    Symbolic q is composed at the one point q = 2^-8, which decides the
+    symbolic identities for matroid parts.  Write x = 1/q.  A matroid
+    part's coefficients are monomials x^rank, so alpha and beta are 0 or
+    one monomial per word, and each coefficient of N, of L^g R^g and of
+    gaps = (L^g - q L_g)(R^g - q R_g) is a sum of at most 4 monomials
+    +-x^k.  So (x - 1)(N - L^g R^g) + x gaps, which is (x - 1) times the
+    difference of the two forms, is a Laurent polynomial R in x with
+    integer coefficients of absolute value at most 10; so is (x - 1) times
+    N minus the direct two-sum's Potts function, which the
+    `twosum-model-agreement` corpus item compares.  If R is nonzero, its
+    lowest term c x^k has 0 < |c| < X, and R(X) = X^k (c + X * (an
+    integer)) cannot vanish at x = X = 2^8.  So the exact values there are
+    equal exactly when the symbolic polynomials are.  A weight-file part
+    has no q, and nothing symbolic is decided for it.
     """
     model = left.model
     if right.model != model:
@@ -323,13 +339,7 @@ def twosum_compose(left: ModelPoly, right: ModelPoly, glue: str) -> ModelPoly:
     if model.kind == "potts" and model.q0 == 1:
         raise ValueError("two-sum composition is undefined at q = 1")
     for side, mp in (("left", left), ("right", right)):
-        try:
-            alpha, beta = glue_weights(mp, glue)
-        except ValueError as exc:
-            raise ValueError(
-                f"{exc} on the {side} side: rational weights are not symbolic Potts slices,"
-                " so q must be given as a rational"
-            ) from exc
+        alpha, beta = glue_weights(mp, glue)
         if alpha.is_zero():
             raise ValueError(f"glue element is a loop on the {side} side")
         if beta.is_zero():
@@ -348,14 +358,9 @@ def twosum_compose(left: ModelPoly, right: ModelPoly, glue: str) -> ModelPoly:
 
 
 def _divide_one_minus_q(poly: SubsetPoly, model: Model) -> SubsetPoly:
-    if model.symbolic:
-        return SubsetPoly(
-            poly.ground,
-            {w: LaurentQ.coerce(c).divide_by_one_minus_q() for w, c in poly.terms.items()},
-        )
-    if model.q0 == 1:
+    if model.q == 1:
         raise ValueError("cannot divide by (1 - q): it vanishes at q = 1")
-    return poly.scale(1 / (1 - model.q0))
+    return poly.scale(1 / (1 - model.q))
 
 
 # --- q -> 0 scaling limits -------------------------------------------------------

@@ -162,8 +162,6 @@ def _masses(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction]) -> tup
 
     Summed term by term over the whole of Z, with no slicing.
     """
-    if not z.is_rational():
-        raise TypeError("covariance needs rational coefficients")
     vals = _coordinates(z, point)
     be, bf = z.ground.bit(e), z.ground.bit(f)
     total = Fraction(0)
@@ -194,9 +192,7 @@ def scalar_pair_diff(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction
 
 
 def check_pair(z: SubsetPoly, e: str, f: str, strategy: Strategy) -> RayleighVerdict:
-    """One pair, one strategy.  Sign decisions need rational coefficients."""
-    if not z.is_rational():
-        raise TypeError("pair checks need rational coefficients; evaluate q first")
+    """One pair, one strategy."""
     if isinstance(strategy, SampleStrategy):
         return _sample(z, e, f, strategy)
     return _judge(rayleigh_diff(z, e, f), (e, f), strategy.certificate_for(e, f))
@@ -396,8 +392,6 @@ class MarginReport:
 def conjecture_probe(
     z: SubsetPoly, e: str, f: str, samples: int = 100, seed: int = DEFAULT_SEED
 ) -> MarginReport:
-    if not z.is_rational():
-        raise TypeError("probe needs rational coefficients")
     m = z.ground.m
     if m < 3:
         raise ValueError("probe needs at least three elements")
@@ -507,8 +501,6 @@ def negative_association_check(
     degree two on both sides, so the common factor (L D^m)^2 > 0 cannot
     flip it.
     """
-    if not z.is_rational():
-        raise TypeError("association check needs rational coefficients")
     b1 = tuple(block1)
     b2 = tuple(block2)
     if set(b1) & set(b2):
@@ -584,8 +576,6 @@ def triple_condition_check(
     samples: int = 100,
     seed: int = DEFAULT_SEED,
 ) -> TripleReport:
-    if not z.is_rational():
-        raise TypeError("triple check needs rational coefficients")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, not {samples}")
     # decomposition: diff = diff_del + y_g theta + y_g^2 diff_con, where the

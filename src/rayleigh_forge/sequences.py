@@ -139,8 +139,6 @@ def check_condition(seq: Seq, cond: str) -> ConditionVerdict:
 
 def symmetrize(z: SubsetPoly) -> Seq:
     """Averaged size-k weights a_k = f_k / C(m, k) of the symmetrized polynomial, as Seq(0, a, m)."""
-    if not z.is_rational():
-        raise TypeError("symmetrization needs rational coefficients")
     m = z.ground.m
     sums = [Fraction(0)] * (m + 1)
     for w, c in z.terms.items():

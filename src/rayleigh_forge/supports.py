@@ -13,9 +13,11 @@ on the order the terms were inserted in.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .matroids import exchange_axiom_witness
 from .polynomials import GroundSet, SubsetPoly
@@ -110,8 +112,6 @@ def log_submodular_witness(z: SubsetPoly) -> tuple[int, int] | None:
     """
     weights = z.terms  # zeros are already dropped
     for c in weights.values():
-        if not isinstance(c, Fraction):
-            raise TypeError("log-submodularity needs rational coefficients")
         if c < 0:
             raise ValueError("negative coefficient")
     for cw, base in weights.items():
@@ -140,6 +140,10 @@ def log_submodular_check(z: SubsetPoly) -> bool:
 # --- flattening ------------------------------------------------------------------
 
 
+# all 2^6 subsets of six elements flatten to C(12, 6) = 924 members; seven give 3,432
+FLATTEN_MEMBER_CAP = 1000
+
+
 @dataclass(frozen=True)
 class FlattenRecord:
     """A support made homogeneous of degree r by adjoining r-s free elements;
@@ -159,6 +163,15 @@ def _fresh_labels(ground: GroundSet, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(1, count + 1))
 
 
+def flatten_size_estimate(z: SubsetPoly) -> int:
+    """The member count of `flatten(z)`, without building it: a size-k member
+    has C(r - s, r - k) completions, s and r the least and largest sizes."""
+    counts = Counter(map(popcount, z.terms))
+    r = max(counts)
+    ell = r - min(counts)
+    return sum(cnt * comb(ell, r - k) for k, cnt in counts.items())
+
+
 def flatten(z: SubsetPoly) -> FlattenRecord:
     """Pad every support member up to the maximum size r with fresh elements.
 
@@ -167,12 +180,18 @@ def flatten(z: SubsetPoly) -> FlattenRecord:
     weights keep the original coefficient on every completion, which matches
     multiplying each size-k layer by the elementary symmetric polynomial
     e_{r-k} of the fresh variables.  A set family flattens as its unit weights.
+
+    The exchange scan is quadratic in the member count, so a flattening of
+    more than FLATTEN_MEMBER_CAP members is refused before it is built.
     """
     window = size_window_sums(z)
     ground, r = z.ground, window.r
     ell = r - window.s
     if ground.m + ell > 30:
         raise ValueError("flattening overflows the 30-element ground cap")
+    size = flatten_size_estimate(z)
+    if size > FLATTEN_MEMBER_CAP:
+        raise ValueError(f"flattening has {size} members, above the cap of {FLATTEN_MEMBER_CAP}")
     fresh = _fresh_labels(ground, ell)
     flat_ground = GroundSet(ground.labels + fresh)
 
@@ -198,8 +217,6 @@ def size_window_sums(z: SubsetPoly) -> Seq:
     coefficients must be nonnegative rationals with a nonempty support.
     """
     for c in z.terms.values():  # zeros are already dropped
-        if not isinstance(c, Fraction):
-            raise TypeError("support extraction needs rational coefficients")
         if c < 0:
             raise ValueError("negative coefficient")
     if not z.terms:

@@ -47,8 +47,8 @@ def expand(word: int, positions: Sequence[int]) -> int:
 def term_value(c, vals: Sequence, word: int, sq: int = 0):
     """c * y^word * y^sq with y_i = vals[i]; sq must be a subset of word.
 
-    The product starts from c, so the coefficient's type (Fraction or
-    LaurentQ) carries through and no int-to-Fraction step is paid per term.
+    The product starts from c, so its type (a polynomial's Fraction, or
+    `pair_value`'s int) carries through with no conversion per term.
     """
     prod = c
     while word:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -170,8 +171,8 @@ NEGATIVE_WEIGHTS = "elements: a,b\n- : 1\na : -1\nb : 1\na,b : 1\n"
 ZERO_WEIGHTS = "elements: a,b\n- : 0\na : 0\nb : 0\na,b : 0\n"
 
 # (support, exponent) of every term q^exponent of the symbolic `potts build`
-# report for K4, in report order; recorded from the dense `LaurentQ` layout,
-# whose report bytes the sparse one keeps
+# report for K4, in report order; recorded when symbolic q had a Laurent
+# polynomial type of its own, whose report bytes the one-point route keeps
 K4_POTTS_TERMS = [
     ("", 0), ("1", -1), ("2", -1), ("12", -2), ("3", -1), ("13", -2), ("23", -2), ("123", -3),
     ("4", -1), ("14", -2), ("24", -2), ("124", -2), ("34", -2), ("134", -3), ("234", -3), ("1234", -3),
@@ -556,6 +557,17 @@ class TestDelta:
         for path in (files[name], files[f"{name}_unit"]):
             got, report = run_json(files, ["delta", "check", path], capsys)
             assert (got, report["results"]) == (code, results)
+
+    def test_flatten_member_cap(self, files, capsys):
+        # unit weights on all 2^7 subsets flatten to C(14, 7) = 3,432 members:
+        # refused before the exchange scan starts; all 2^6 give 924 and pass
+        for m, code in ((6, 0), (7, 3)):
+            labels = [chr(ord("a") + i) for i in range(m)]
+            lines = [",".join(c) or "-" for k in range(m + 1) for c in itertools.combinations(labels, k)]
+            path = files["dir"] / f"cube{m}.weights"
+            path.write_text(f"elements: {','.join(labels)}\n" + "".join(f"{line} : 1\n" for line in lines))
+            assert run(["delta", "check", path]) == code
+        assert "3432 members, above the cap of 1000" in capsys.readouterr().err
 
     def test_log_submodular_exhaustive_above_ten(self, files, capsys):
         # w(a)w(b) = 1 < 2 = w(empty)w(ab) on 11 elements

@@ -6,17 +6,16 @@ from hypothesis import strategies as st
 
 from rayleigh_forge.fileio import (
     InputFormatError,
-    coeff_payload,
     detect_format,
-    laurent_payload,
     parse_bases_file,
     parse_certificate_file,
     parse_graph_file,
     parse_weight_file,
     poly_payload,
+    q_power_payload,
 )
 from rayleigh_forge.polynomials import GroundSet, QuadPoly, SubsetPoly, rayleigh_diff
-from rayleigh_forge.scalars import LaurentQ, format_rat
+from rayleigh_forge.scalars import SYMBOLIC_Q, format_rat
 
 F = Fraction
 
@@ -177,16 +176,19 @@ class TestDetect:
 
 class TestPayloads:
     def test_coeff_payload(self):
-        assert coeff_payload(F(3, 2)) == "3/2"
-        assert coeff_payload(LaurentQ({-1: F(1), 0: F(2)})) == {
-            "min_exponent": -1,
-            "coeffs": ["1", "2"],
-        }
-        with pytest.raises(TypeError):
-            coeff_payload(1.5)
+        # a rational coefficient by default; a symbolic one as its power of q
+        z = SubsetPoly(GroundSet(("a",)), {0: F(3, 2), 1: SYMBOLIC_Q**-2})
+        assert [t["coeff"] for t in poly_payload(z)] == ["3/2", "65536"]
+        powers = SubsetPoly(z.ground, {0: F(1), 1: SYMBOLIC_Q**-2})
+        assert [t["coeff"] for t in poly_payload(powers, q_power_payload)] == [
+            {"min_exponent": 0, "coeffs": ["1"]},
+            {"min_exponent": -2, "coeffs": ["1"]},
+        ]
+        with pytest.raises(ArithmeticError):
+            poly_payload(z, q_power_payload)
 
     def test_laurent_payload_normalized(self):
-        assert laurent_payload(LaurentQ({0: F(0), 1: F(1)})) == {
+        assert q_power_payload(SYMBOLIC_Q) == {
             "min_exponent": 1,
             "coeffs": ["1"],
         }

@@ -30,7 +30,6 @@ from rayleigh_forge.polynomials import (
 from rayleigh_forge.potts import Model, model_poly, potts_poly
 from rayleigh_forge.prng import DENOMINATOR_BITS, SplitMix64, sample_point
 from rayleigh_forge.rayleigh import SquareCertificate
-from rayleigh_forge.scalars import LaurentQ
 
 F = Fraction
 
@@ -243,16 +242,3 @@ def test_certificate_residue_matches_reference(scale):
     assert residue == QuadPoly(sub, terms) - expanded
     assert not diff.is_coefficientwise_nonnegative()
     assert residue.is_coefficientwise_nonnegative()
-
-
-def test_laurent_coefficients_are_refused():
-    symbolic = potts_poly(uniform_matroid(3, 2)).poly
-    assert any(isinstance(c, LaurentQ) for c in symbolic.terms.values())
-    one_symbolic = SubsetPoly(canonical_ground(3), {0: F(1), 7: LaurentQ.q_power(1)})
-    for z in (symbolic, one_symbolic):
-        with pytest.raises(TypeError):
-            multiply(z, z)
-        with pytest.raises(TypeError):
-            rayleigh_diff(z, "1", "2")
-        with pytest.raises(TypeError):
-            theta(z, "1", "2", "3")

@@ -116,3 +116,30 @@ def test_benchmark_partition_function_is_the_judged_one(kind, q, tmp_path, monke
     poly = model_poly(matroid, Model(kind, parse_rat(q) if q is not None else None)).poly
     assert isinstance(poly, SubsetPoly)
     assert judged == [poly]
+
+
+def unused_imports(tree: ast.AST) -> list[str]:
+    """Names a module imports and never reads; `__future__` imports do not bind names."""
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parent.parent
+    paths = [p for folder in ("src", "tests", "scripts") for p in sorted((root / folder).rglob("*.py"))]
+    unused = [
+        f"{path.relative_to(root)}:{entry}"
+        for path in paths
+        if path.name != "__init__.py"
+        for entry in unused_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert paths
+    assert unused == []

@@ -25,7 +25,6 @@ from rayleigh_forge.polynomials import (
     theta,
 )
 from rayleigh_forge.prng import SplitMix64, sample_point
-from rayleigh_forge.scalars import LaurentQ
 from rayleigh_forge.sequences import Seq, symmetrize, symseq_to_poly
 
 F = Fraction
@@ -103,6 +102,18 @@ class TestSubsetPoly:
         g = GroundSet(("a",))
         z = SubsetPoly(g, {0: F(0), 1: F(2)})
         assert z.terms == {1: F(2)}
+
+    def test_coefficients_are_fractions(self):
+        # ints are converted; any other type is refused on construction
+        g = GroundSet(("a",))
+        z = SubsetPoly(g, {0: 3, 1: F(1, 2)})
+        assert all(type(c) is F for c in z.terms.values())
+        with pytest.raises(TypeError, match="float"):
+            SubsetPoly(g, {0: F(1), 1: 1.5})
+        with pytest.raises(TypeError, match="float"):
+            QuadPoly(g, {(1, 1): 0.5})
+        with pytest.raises(TypeError, match="float"):
+            from_weights(g, {1: 2.0})
 
     def test_slice_recomposition(self):
         # Z = Z with y_e = 0, plus y_e times the derivative slice
@@ -183,15 +194,6 @@ class TestMultiplication:
         assert isinstance(prod, QuadPoly)
         assert prod.ground.labels == ("a1", "a2", "b1", "b2")
         point = sample_point(SplitMix64(data.draw(st.integers(0, 2**64 - 1))), prod.ground.labels)
-        assert prod.evaluate(point) == p.evaluate(point) * q.evaluate(point)
-
-    def test_multiply_disjoint_laurent_coefficients(self):
-        q_inv = LaurentQ.q_power(-1)
-        p = SubsetPoly(GroundSet(("a1", "a2")), {0: F(1), 1: q_inv, 3: LaurentQ.q_power(-2)})
-        q = SubsetPoly(GroundSet(("b1",)), {0: F(3), 1: 1 - q_inv})
-        prod = multiply_disjoint(p, q)
-        assert prod.coeff(0b111) == LaurentQ.q_power(-2) * (1 - q_inv)
-        point = sample_point(SplitMix64(23), prod.ground.labels)
         assert prod.evaluate(point) == p.evaluate(point) * q.evaluate(point)
 
     def test_multiply_disjoint_rejects_mixed_kinds(self):

@@ -35,9 +35,11 @@ from rayleigh_forge.potts import (
     uniform_potts_symseq,
 )
 from rayleigh_forge.prng import derive, sample_point
-from rayleigh_forge.scalars import LaurentQ
+from rayleigh_forge.scalars import q_exponent
 from rayleigh_forge.sequences import symmetrize
 from rayleigh_forge.words import compress, expand, popcount
+
+from laurent_reference import DenseLaurentQ
 
 F = Fraction
 
@@ -61,11 +63,27 @@ class TestPottsPoly:
 
     def test_symbolic_matches_evaluated(self):
         m = graphic_matroid(cycle_graph(3))
-        sym = potts_poly(m)
+        sym = laurent_terms(potts_poly(m).poly)
         for q0 in (F(1, 3), F(2, 5), F(7, 4)):
             ev = potts_poly(m, q0)
-            for w, c in sym.poly.terms.items():
-                assert LaurentQ.coerce(c).evaluate(q0) == ev.poly.coeff(w)
+            for w, c in sym.items():
+                assert c.evaluate(q0) == ev.poly.coeff(w)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda m: potts_poly(m),
+            lambda m: potts_poly(m, F(1, 2)),
+            potts_slices,
+            lambda m: slice_inequality_scan(m, samples=3),
+        ],
+        ids=["potts_poly-symbolic", "potts_poly-fixed", "potts_slices", "slice_inequality_scan"],
+    )
+    def test_subset_outranking_the_ground_set_refused(self, build):
+        # a check=False oracle with rank {a} = 2 > 1 = rank {a, b}: q^-2 is no Potts weight of rank 1
+        oracle = Matroid(GroundSet("ab"), [0, 2, 1, 1].__getitem__, check=False)
+        with pytest.raises(ValueError, match=r"subset \{a\} has rank 2, above the rank 1 of the ground set"):
+            build(oracle)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -145,13 +163,17 @@ class TestSlices:
 # --- the Kronecker route against the symbolic one ---------------------------
 
 
+def laurent_terms(poly):
+    """A symbolic-q polynomial's coefficients as reference Laurent monomials."""
+    return {w: DenseLaurentQ.q_power(q_exponent(c)) for w, c in poly.terms.items()}
+
+
 def ref_slices(matroid):
-    """The five slice identities decided over `LaurentQ`, symbolically in q."""
-    mp = potts_poly(matroid)
-    z = mp.poly
-    ground = z.ground
+    """The five slice identities decided in reference Laurent arithmetic, symbolically in q."""
+    z = reference_potts(matroid, None)
+    ground = matroid.ground
     table = rank_table(matroid)
-    q_inv = LaurentQ.q_power(-1)
+    q, q_inv = DenseLaurentQ.q_power(1), DenseLaurentQ.q_power(-1)
     report = {}
     for label in ground.labels:
         if matroid.is_loop(label):
@@ -159,33 +181,27 @@ def ref_slices(matroid):
         bit = ground.bit(label)
         sub = ground.without(label)
         pos = tuple(map(ground.index, sub.labels))
-        del_poly = z.delete(label)
-        con_poly = z.contract(label).scale(mp.model.q)
+        del_terms = {compress(w, pos): c for w, c in z.items() if not w & bit}
+        con_terms = {compress(w, pos): q * c for w, c in z.items() if w & bit}
         identities = {
-            "deleted_matches_minor": del_poly == potts_poly(matroid.delete(label)).poly,
-            "contracted_matches_minor": con_poly == potts_poly(matroid.contract(label)).poly,
+            "deleted_matches_minor": del_terms == reference_potts(matroid.delete(label), None),
+            "contracted_matches_minor": con_terms == reference_potts(matroid.contract(label), None),
         }
-        recon = True
-        for w, c in z.terms.items():
-            if w & bit:
-                expect = q_inv * con_poly.coeff(compress(w, pos))
-            else:
-                expect = del_poly.coeff(compress(w, pos))
-            if c != expect:
-                recon = False
-                break
-        identities["reconstruction"] = recon
+        identities["reconstruction"] = all(
+            c == (q_inv * con_terms[compress(w, pos)] if w & bit else del_terms[compress(w, pos)])
+            for w, c in z.items()
+        )
         spanned = {}
         unspanned = {}
         for w in sub.subsets():
             orig = expand(w, pos)
-            (spanned if table[orig | bit] == table[orig] else unspanned)[w] = z.terms[orig]
-        lhs_b = del_poly - con_poly.scale(q_inv)
-        rhs_b = SubsetPoly(sub, unspanned).scale(1 - q_inv)
-        identities["spanned_excluded"] = lhs_b == rhs_b
-        gap = del_poly - con_poly
-        quot = SubsetPoly(sub, {w: c.divide_by_one_minus_q() for w, c in gap.terms.items()})
-        identities["spanned_sum"] = quot == SubsetPoly(sub, spanned)
+            (spanned if table[orig | bit] == table[orig] else unspanned)[w] = z[orig]
+        identities["spanned_excluded"] = all(
+            del_terms[w] - q_inv * con_terms[w] == (1 - q_inv) * unspanned.get(w, 0) for w in sub.subsets()
+        )
+        identities["spanned_sum"] = all(
+            (del_terms[w] - con_terms[w]).divide_by_one_minus_q() == spanned.get(w, 0) for w in sub.subsets()
+        )
         report[label] = identities
     return report
 
@@ -255,6 +271,15 @@ class TestTwoSumCompose:
         composed = twosum_compose(model_poly(left, model), model_poly(right, model), "g")
         direct = model_poly(two_sum(left, right, "g"), model)
         assert composed.poly == direct.poly
+
+    def test_one_point_compose_matches_laurent_reference(self):
+        # every ordered pool pair: the symbolic two-sum composed at q = 2^-8 and
+        # read back as powers of q is the glue-weight row composed in q itself
+        model = Model("potts")
+        for (lname, lfac), (rname, rfac) in itertools.product(_TWOSUM_POOL, repeat=2):
+            left, right = lfac("a"), rfac("b")
+            composed = twosum_compose(model_poly(left, model), model_poly(right, model), "g")
+            assert laurent_terms(composed.poly) == reference_twosum(left, right), (lname, rname)
 
     def test_rejects_q_one(self):
         left, right = _triangle("a"), _triangle("b")
@@ -383,12 +408,38 @@ class TestScalingLimit:
 
 
 def reference_potts(matroid, q0):
-    """Z = sum over S of q^(-rank S) y^S, one rank-oracle call per subset."""
+    """Z's coefficients q^(-rank S), one rank-oracle call per subset, in
+    reference Laurent arithmetic when q0 is None (symbolic q)."""
     terms = {}
     for w in matroid.ground.subsets():
         rk = matroid._rank_word(w)
-        terms[w] = LaurentQ.q_power(-rk) if q0 is None else F(q0) ** -rk
-    return SubsetPoly(matroid.ground, terms)
+        terms[w] = DenseLaurentQ.q_power(-rk) if q0 is None else F(q0) ** -rk
+    return terms
+
+
+def reference_twosum(left, right):
+    """The Potts two-sum along g, N = L^g alpha + L_g beta with the right part's
+    alpha = q (R_g - R^g) / (1 - q) and beta = q (R^g - q R_g) / (1 - q), in
+    reference Laurent arithmetic; keyed like `twosum_compose`'s result."""
+    q = DenseLaurentQ.q_power(1)
+    slices = []
+    for matroid in (left, right):
+        ground = matroid.ground
+        bit = ground.bit("g")
+        pos = tuple(map(ground.index, ground.without("g").labels))
+        z = reference_potts(matroid, None)
+        slices.append(
+            (
+                {compress(w, pos): c for w, c in z.items() if not w & bit},
+                {compress(w, pos): c for w, c in z.items() if w & bit},
+            )
+        )
+    (ld, lc), (rd, rc) = slices
+    alpha = {w: (q * (rc[w] - rd[w])).divide_by_one_minus_q() for w in rd}
+    beta = {w: (q * (rd[w] - q * rc[w])).divide_by_one_minus_q() for w in rd}
+    shift = left.ground.m - 1
+    terms = {w1 | w2 << shift: ld[w1] * alpha[w2] + lc[w1] * beta[w2] for w1 in ld for w2 in rd}
+    return {w: c for w, c in terms.items() if c}
 
 
 def reference_limit(matroid, alpha):
@@ -448,7 +499,7 @@ class TestRankTableRoute:
     @settings(max_examples=120, deadline=None)
     def test_potts_poly_matches_rank_calls(self, matroid, q0):
         mp = potts_poly(matroid, q0)
-        assert mp.poly == reference_potts(matroid, q0)
+        assert (laurent_terms(mp.poly) if q0 is None else mp.poly.terms) == reference_potts(matroid, q0)
 
     @given(potts_matroids(), st.sampled_from((F(0), F(1, 3), F(1, 2), F(2, 3), F(1))))
     @settings(max_examples=120, deadline=None)

@@ -17,7 +17,7 @@ from rayleigh_forge.polynomials import (
     SubsetPoly,
     rayleigh_diff,
 )
-from rayleigh_forge.potts import Model, model_poly, potts_poly, uniform_potts_symseq
+from rayleigh_forge.potts import Model, model_poly, uniform_potts_symseq
 from rayleigh_forge.prng import DEFAULT_SEED, SplitMix64, derive, log_uniform_fraction, sample_point
 from rayleigh_forge.rayleigh import (
     CoeffStrategy,
@@ -80,9 +80,6 @@ class TestCovariance:
         z = model_poly(uniform_matroid(2, 1), Model("bases")).poly
         with pytest.raises(ValueError):
             covariance(z, "1", "2", {"1": F(0), "2": F(1)})
-        symbolic = potts_poly(uniform_matroid(2, 1)).poly
-        with pytest.raises(TypeError):
-            covariance(symbolic, "1", "2", {"1": F(1), "2": F(1)})
 
     def test_missing_coordinate_named(self):
         z = model_poly(uniform_matroid(3, 1), Model("bases")).poly
@@ -162,11 +159,6 @@ class TestStrategies:
             point = sample_point(rng, g.labels)
             v = point["1"] * point["2"] - point["3"]
             assert quad.evaluate(point) == 2 * v * v
-
-    def test_symbolic_rejected(self):
-        z = potts_poly(uniform_matroid(2, 1)).poly
-        with pytest.raises(TypeError):
-            check_pair(z, "1", "2", CoeffStrategy())
 
 
 class TestCheckAll:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rayleigh_forge.polynomials import GroundSet, QuadPoly, SubsetPoly, canonical_ground
-from rayleigh_forge.scalars import LaurentQ
 from rayleigh_forge.words import bit_positions, compress, expand, popcount
 
 F = Fraction
@@ -14,7 +13,6 @@ LABELS = tuple("abcdefgh")
 # mixed denominators, so no common scale hides a wrong factor
 RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 POSITIVE = st.fractions(min_value=F(1, 12), max_value=16, max_denominator=12)
-LAURENT = st.builds(LaurentQ, st.dictionaries(st.integers(-3, 3), RATIONALS, max_size=3))
 
 
 @st.composite
@@ -73,7 +71,7 @@ def poly_and_point(draw, quad: bool, coeffs):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(poly_and_point(False, RATIONALS), poly_and_point(False, LAURENT)))
+@given(poly_and_point(False, RATIONALS))
 def test_subset_evaluate_matches_naive_product(case):
     g, terms, point = case
     expect = sum((naive_term(c, g, point, w) for w, c in terms.items()), F(0))
@@ -81,7 +79,7 @@ def test_subset_evaluate_matches_naive_product(case):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(poly_and_point(True, RATIONALS), poly_and_point(True, LAURENT)))
+@given(poly_and_point(True, RATIONALS))
 def test_quad_evaluate_matches_naive_product(case):
     g, terms, point = case
     expect = sum((naive_term(c, g, point, sup, sq) for (sup, sq), c in terms.items()), F(0))
