@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .polynomials import GroundSet, SubsetPoly, charpoly_exact
 from .prng import SplitMix64
+from .scalars import clear_denominators
 from .words import expand, popcount, term_value
 
 ENUM_LIMIT = 24
@@ -534,15 +535,30 @@ def weighted_laplacian_charpoly(graph: Graph, y: Mapping[str, Fraction]) -> tupl
     return charpoly_exact(q)
 
 
+def forest_size_sums(graph: Graph, y: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
+    """Coefficients of sum_S w(S) y^S t^(n-|S|) over the forests S, low degree first.
+
+    Summed on Python ints: y_i = n_i / D over the lcm D of y's denominators,
+    the weights are ints c L over the lcm L of theirs, a forest of size k
+    adds term_value(c L, n, S) * D^(m - k), and each sum is divided once by
+    L D^m.
+    """
+    nums, den = clear_denominators(map(Fraction, graph.ground().coordinates(y)))
+    poly, _ = forest_weights(graph)
+    coeffs, scale = clear_denominators(poly.terms.values())
+    n, m = graph.n, len(nums)
+    powers = [den**k for k in range(m + 1)]
+    sums = [0] * (n + 1)
+    for w, c in zip(poly.terms, coeffs):
+        k = popcount(w)
+        sums[n - k] += term_value(c, nums, w) * powers[m - k]
+    scale *= powers[m]
+    return tuple(Fraction(x, scale) for x in sums)
+
+
 def forest_identity_at(graph: Graph, y: Mapping[str, Fraction]) -> bool:
     """Check sum_S w(S) y^S t^(n-|S|) == det(tI + D diag(y) D^T) at rational y."""
-    vals = [Fraction(v) for v in graph.ground().coordinates(y)]
-    poly, _ = forest_weights(graph)
-    n = graph.n
-    lhs = [Fraction(0)] * (n + 1)
-    for w, c in poly.terms.items():
-        lhs[n - popcount(w)] += term_value(c, vals, w)
-    return tuple(lhs) == weighted_laplacian_charpoly(graph, y)
+    return forest_size_sums(graph, y) == weighted_laplacian_charpoly(graph, y)
 
 
 # --- small graph builders ------------------------------------------------------

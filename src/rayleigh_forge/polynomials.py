@@ -118,8 +118,9 @@ def canonical_ground(m: int) -> GroundSet:
 class _TermPoly:
     """Sparse coefficient dict on a ground set, zeros dropped.
 
-    The subclass fixes the key shape: `_key(support, squared)` builds a key
-    and `monomials()` yields (support, squared, coeff) for every term, so the
+    The subclass fixes the key shape: `_key(support, squared)` builds a key,
+    `monomials()` yields (support, squared, coeff) for every term and
+    `_max_power` is the highest exponent a variable may carry, so the
     arithmetic, evaluation, printing and disjoint products here are shared.
     """
 
@@ -165,13 +166,24 @@ class _TermPoly:
         return type(self)(self.ground, {k: c * x for k, x in self.terms.items()})
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Term-by-term value at a point.
+        """Exact value at a point of ints and Fractions; any other coordinate type is a TypeError.
 
-        The CLI evaluates pair differences with `pair_value` on integer
-        slices instead; this is the reference route.
+        Summed on Python ints: the point is cleared once to ints n_i over D
+        and the coefficients to ints c L over L.  A term of degree d adds
+        term_value(c L, n, ...) * D^(top - d), with top the largest degree
+        of the kind (m for a SubsetPoly, 2m for a QuadPoly), and the sum is
+        divided once by L D^top.  The CLI evaluates pair differences with
+        `pair_value` instead, and the tests keep the term-by-term `Fraction`
+        sum as the slow reference route.
         """
-        vals = self.ground.coordinates(point)
-        return sum((term_value(c, vals, sup, sq) for sup, sq, c in self.monomials()), Fraction(0))
+        nums, den = clear_denominators(map(as_fraction, self.ground.coordinates(point)))
+        coeffs, scale = clear_denominators(self.terms.values())
+        top = self._max_power * self.ground.m
+        powers = [den**k for k in range(top + 1)]
+        total = 0
+        for (sup, sq, _), c in zip(self.monomials(), coeffs):
+            total += term_value(c, nums, sup, sq) * powers[top - sup.bit_count() - sq.bit_count()]
+        return Fraction(total, scale * powers[top])
 
     def __repr__(self):
         return f"{type(self).__name__}({poly_text(self)})"
@@ -182,6 +194,7 @@ class SubsetPoly(_TermPoly):
 
     __slots__ = ()
     _bad_key_message = "subset word outside the ground set"
+    _max_power = 1
 
     @staticmethod
     def _bad_keys(terms: Mapping[int, object], full: int) -> bool:
@@ -251,6 +264,7 @@ class QuadPoly(_TermPoly):
 
     __slots__ = ()
     _bad_key_message = "malformed quadratic term key"
+    _max_power = 2
 
     @staticmethod
     def _bad_keys(terms: Mapping[tuple[int, int], object], full: int) -> bool:

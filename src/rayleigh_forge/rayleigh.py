@@ -14,9 +14,12 @@ scaled by the lcm of its denominators, each dyadic point by 2^shift, and
 `pair_value` sums the four integer slices there, so only the sign of one int
 is read per point.  The sampler feeds it log-uniform points and
 `exchangeable_check` a dyadic ladder.  Before it returns a refuting point it
-re-evaluates the point in `Fraction`s by two routes, `scalar_pair_diff` (the
-same slices, another evaluator) and `covariance` (the measure summed over
-the whole of Z, no slicing), and all three values must agree exactly.
+re-evaluates the point exactly by two routes, `scalar_pair_diff` (the same
+slices, another evaluator) and `covariance` (the measure summed over the
+whole of Z, no slicing), and all three values must agree exactly.  Each
+re-check route clears the denominators of the point and of the
+coefficients once and sums Python ints over its own scale, so it shares no
+scaling step with `pair_value`.
 Sampling that finds no negative point is only ever Inconclusive.
 """
 
@@ -40,7 +43,7 @@ from .polynomials import (
 )
 from .potts import potts_poly, uniform_potts_symseq
 from .prng import DEFAULT_SEED, DENOMINATOR_BITS, SplitMix64, derive, log_uniform_fraction, sample_point
-from .scalars import clear_denominators, format_rat
+from .scalars import as_fraction, clear_denominators, format_rat
 from .sequences import Seq, check_condition, symmetrize, symseq_to_poly
 from .words import compress, term_value
 
@@ -160,16 +163,21 @@ def covariance(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction]) -> 
 def _masses(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
     """Z(y) and the masses of the subsets holding e, holding f and holding both.
 
-    Summed term by term over the whole of Z, with no slicing.
+    Summed term by term over the whole of Z, with no slicing, on Python
+    ints: with y_i = n_i / D over the lcm D of the point's denominators and
+    the coefficients c L over the lcm L of theirs, the term on w adds
+    term_value(c L, n, w) * D^(m - |w|), and each sum is divided once by
+    L D^m.  A coordinate that is neither an int nor a Fraction is a
+    TypeError.
     """
-    vals = _coordinates(z, point)
+    nums, den = clear_denominators(map(as_fraction, _coordinates(z, point)))
+    coeffs, scale = clear_denominators(z.terms.values())
+    m = z.ground.m
+    powers = [den**k for k in range(m + 1)]
     be, bf = z.ground.bit(e), z.ground.bit(f)
-    total = Fraction(0)
-    p_e = Fraction(0)
-    p_f = Fraction(0)
-    p_ef = Fraction(0)
-    for w, c in z.terms.items():
-        mass = term_value(c, vals, w)
+    total = p_e = p_f = p_ef = 0
+    for w, c in zip(z.terms, coeffs):
+        mass = term_value(c, nums, w) * powers[m - w.bit_count()]
         total += mass
         if w & be:
             p_e += mass
@@ -177,7 +185,8 @@ def _masses(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction]) -> tup
             p_f += mass
         if w & be and w & bf:
             p_ef += mass
-    return total, p_e, p_f, p_ef
+    scale *= powers[m]
+    return tuple(Fraction(x, scale) for x in (total, p_e, p_f, p_ef))
 
 
 def scalar_pair_diff(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction]) -> Fraction:
@@ -199,10 +208,13 @@ def check_pair(z: SubsetPoly, e: str, f: str, strategy: Strategy) -> RayleighVer
 
 
 def _recheck_witness(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction], value: Fraction) -> None:
-    """Re-evaluate a refuting point in `Fraction`s by two more routes.
+    """Re-evaluate a refuting point exactly by two more routes.
 
-    `scalar_pair_diff` does not use the point evaluator, and the measure that
-    `covariance` sums does not use the slices; unless both read the negative
+    `scalar_pair_diff` multiplies the slices' values from `evaluate`, not
+    from the point evaluator, and the measure that `covariance` sums does
+    not use the slices.  Each route clears the point's and the
+    coefficients' denominators on its own and sums Python ints, with no
+    2^shift scale shared with `pair_value`; unless both read the negative
     `value`, raise ArithmeticError.
     """
     sliced = scalar_pair_diff(z, e, f, point)
