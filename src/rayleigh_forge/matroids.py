@@ -21,8 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .polynomials import GroundSet, SubsetPoly, charpoly_exact
 from .prng import SplitMix64
-from .scalars import clear_denominators
-from .words import expand, popcount, term_value
+from .words import expand, popcount
 
 ENUM_LIMIT = 24
 
@@ -538,21 +537,17 @@ def weighted_laplacian_charpoly(graph: Graph, y: Mapping[str, Fraction]) -> tupl
 def forest_size_sums(graph: Graph, y: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
     """Coefficients of sum_S w(S) y^S t^(n-|S|) over the forests S, low degree first.
 
-    Summed on Python ints: y_i = n_i / D over the lcm D of y's denominators,
-    the weights are ints c L over the lcm L of theirs, a forest of size k
-    adds term_value(c L, n, S) * D^(m - k), and each sum is divided once by
-    L D^m.
+    The forest weights' `term_values` at y, exact ints over one scale,
+    bucketed by forest size.  Like `weighted_laplacian_charpoly`, it reads
+    each coordinate through `Fraction`.
     """
-    nums, den = clear_denominators(map(Fraction, graph.ground().coordinates(y)))
     poly, _ = forest_weights(graph)
-    coeffs, scale = clear_denominators(poly.terms.values())
-    n, m = graph.n, len(nums)
-    powers = [den**k for k in range(m + 1)]
+    ground = poly.ground
+    values, scale = poly.term_values(dict(zip(ground.labels, map(Fraction, ground.coordinates(y)))))
+    n = graph.n
     sums = [0] * (n + 1)
-    for w, c in zip(poly.terms, coeffs):
-        k = popcount(w)
-        sums[n - k] += term_value(c, nums, w) * powers[m - k]
-    scale *= powers[m]
+    for w, v in zip(poly.terms, values):
+        sums[n - popcount(w)] += v
     return tuple(Fraction(x, scale) for x in sums)
 
 

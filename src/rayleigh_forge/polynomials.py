@@ -165,25 +165,29 @@ class _TermPoly:
     def scale(self, c):
         return type(self)(self.ground, {k: c * x for k, x in self.terms.items()})
 
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Exact value at a point of ints and Fractions; any other coordinate type is a TypeError.
+    def term_values(self, point: Mapping[str, Fraction]) -> tuple[list[int], int]:
+        """Each term's value at a point, in term order, as ints over one scale > 0.
 
-        Summed on Python ints: the point is cleared once to ints n_i over D
-        and the coefficients to ints c L over L.  A term of degree d adds
-        term_value(c L, n, ...) * D^(top - d), with top the largest degree
-        of the kind (m for a SubsetPoly, 2m for a QuadPoly), and the sum is
-        divided once by L D^top.  The CLI evaluates pair differences with
-        `pair_value` instead, and the tests keep the term-by-term `Fraction`
-        sum as the slow reference route.
+        The one sparse exact evaluator.  The point is cleared once to ints
+        n_i over D (an int or Fraction coordinate, else TypeError) and the
+        coefficients to ints c L over L.  A term of degree d is
+        term_value(c L, n, ...) * D^(top - d), with top = m for a SubsetPoly
+        and 2m for a QuadPoly, and the scale is L D^top.
         """
         nums, den = clear_denominators(map(as_fraction, self.ground.coordinates(point)))
         coeffs, scale = clear_denominators(self.terms.values())
         top = self._max_power * self.ground.m
         powers = [den**k for k in range(top + 1)]
-        total = 0
-        for (sup, sq, _), c in zip(self.monomials(), coeffs):
-            total += term_value(c, nums, sup, sq) * powers[top - sup.bit_count() - sq.bit_count()]
-        return Fraction(total, scale * powers[top])
+        values = [
+            term_value(c, nums, sup, sq) * powers[top - sup.bit_count() - sq.bit_count()]
+            for (sup, sq, _), c in zip(self.monomials(), coeffs)
+        ]
+        return values, scale * powers[top]
+
+    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
+        """Exact value at a point of ints and Fractions: the sum of `term_values`."""
+        values, scale = self.term_values(point)
+        return Fraction(sum(values), scale)
 
     def __repr__(self):
         return f"{type(self).__name__}({poly_text(self)})"

@@ -26,7 +26,7 @@ from .polynomials import GroundSet, SubsetPoly, multiply_disjoint
 from .prng import derive, sample_point, unit_fraction
 from .scalars import SYMBOLIC_Q, clear_denominators
 from .sequences import Seq
-from .words import expand, popcount
+from .words import expand, monomial_table, popcount
 
 MODEL_KINDS = ("bases", "independent", "spanning", "potts")
 
@@ -201,7 +201,7 @@ def slice_inequality_scan(
 
     All sums are Python ints: with y_i = n_i / D over the lcm D of the
     point's denominators and q0 = a / b, the monomial y^w * D^m is the int
-    prod(n_i) * D^(m - |w|), built for every word by doubling, and
+    prod(n_i) * D^(m - |w|), read for every word from `monomial_table`, and
     q0^-k * a^r is the int b^k * a^(r - k).  Each point costs one table
     base[w] = y^w * q0^-rank(w), scaled by a^r * D^m, and m halving folds
     of it: inc_i, the sum of base over the words that hold i, is the sum of
@@ -234,9 +234,7 @@ def slice_inequality_scan(
         q0 = unit_fraction(rng)
         point = sample_point(rng, labels)
         num, den = clear_denominators(point[lab] for lab in labels)
-        y = [1]
-        for n in num:
-            y = [*map(den.__mul__, y), *map(n.__mul__, y)]
+        y = monomial_table(num, den)
         a, b = q0.numerator, q0.denominator
         qpow = [b**k * a ** (r - k) for k in range(r + 1)]
         # fold the top bit away each round: its upper half sums to inc_i

@@ -16,10 +16,9 @@ is read per point.  The sampler feeds it log-uniform points and
 `exchangeable_check` a dyadic ladder.  Before it returns a refuting point it
 re-evaluates the point exactly by two routes, `scalar_pair_diff` (the same
 slices, another evaluator) and `covariance` (the measure summed over the
-whole of Z, no slicing), and all three values must agree exactly.  Each
-re-check route clears the denominators of the point and of the
-coefficients once and sums Python ints over its own scale, so it shares no
-scaling step with `pair_value`.
+whole of Z, no slicing), and all three values must agree exactly.  Both
+re-check routes sum the package's one sparse evaluator,
+`_TermPoly.term_values`, whose scale is not `pair_value`'s 2^shift.
 Sampling that finds no negative point is only ever Inconclusive.
 """
 
@@ -45,7 +44,7 @@ from .potts import potts_poly, uniform_potts_symseq
 from .prng import DEFAULT_SEED, DENOMINATOR_BITS, SplitMix64, derive, log_uniform_fraction, sample_point
 from .scalars import as_fraction, clear_denominators, format_rat
 from .sequences import Seq, check_condition, symmetrize, symseq_to_poly
-from .words import compress, term_value
+from .words import compress, monomial_table
 
 
 @dataclass(frozen=True)
@@ -140,12 +139,10 @@ def _point_text(point: Mapping[str, Fraction]) -> str:
     return "{" + inner + "}"
 
 
-def _coordinates(z: SubsetPoly, point: Mapping[str, Fraction]) -> list[Fraction]:
-    """The point's value for each ground label, in ground order; all positive."""
+def _check_positive(point: Mapping[str, Fraction]) -> None:
     for lab, v in point.items():
         if v <= 0:
             raise ValueError(f"coordinate {lab!r} must be positive")
-    return z.ground.coordinates(point)
 
 
 def covariance(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction]) -> Fraction:
@@ -163,21 +160,16 @@ def covariance(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction]) -> 
 def _masses(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
     """Z(y) and the masses of the subsets holding e, holding f and holding both.
 
-    Summed term by term over the whole of Z, with no slicing, on Python
-    ints: with y_i = n_i / D over the lcm D of the point's denominators and
-    the coefficients c L over the lcm L of theirs, the term on w adds
-    term_value(c L, n, w) * D^(m - |w|), and each sum is divided once by
-    L D^m.  A coordinate that is neither an int nor a Fraction is a
-    TypeError.
+    Summed over the whole of Z, with no slicing: `term_values` gives every
+    term's mass as an int over one scale, and each mass is added to the
+    sums its word's e and f bits select.  A coordinate that is neither an
+    int nor a Fraction is a TypeError.
     """
-    nums, den = clear_denominators(map(as_fraction, _coordinates(z, point)))
-    coeffs, scale = clear_denominators(z.terms.values())
-    m = z.ground.m
-    powers = [den**k for k in range(m + 1)]
+    _check_positive(point)
+    values, scale = z.term_values(point)
     be, bf = z.ground.bit(e), z.ground.bit(f)
     total = p_e = p_f = p_ef = 0
-    for w, c in zip(z.terms, coeffs):
-        mass = term_value(c, nums, w) * powers[m - w.bit_count()]
+    for w, mass in zip(z.terms, values):
         total += mass
         if w & be:
             p_e += mass
@@ -185,19 +177,20 @@ def _masses(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction]) -> tup
             p_f += mass
         if w & be and w & bf:
             p_ef += mass
-    scale *= powers[m]
     return tuple(Fraction(x, scale) for x in (total, p_e, p_f, p_ef))
 
 
 def scalar_pair_diff(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction]) -> Fraction:
     """rayleigh_diff(z, e, f) at a point, via scalar slice arithmetic only.
 
-    Shares the slice kernel with the sampler but neither the pair-product
-    kernel nor the point evaluator; used to re-check refutation witnesses.
+    Takes the four slices from one `rayleigh_pairs` call, as the sampler
+    does, but evaluates each with `evaluate` and multiplies the values, with
+    neither the pair-product kernel nor `pair_value`; used to re-check
+    refutation witnesses.
     """
-    ze = z.contract(e)
-    ze_f, zf_e, zef, znone = ze.delete(f), z.contract(f).delete(e), ze.contract(f), z.delete(e).delete(f)
-    return ze_f.evaluate(point) * zf_e.evaluate(point) - zef.evaluate(point) * znone.evaluate(point)
+    sub, den, pairs = rayleigh_pairs(z, e, f)
+    values = (sign * SubsetPoly(sub, a).evaluate(point) * SubsetPoly(sub, b).evaluate(point) for sign, a, b in pairs)
+    return sum(values) / den
 
 
 def check_pair(z: SubsetPoly, e: str, f: str, strategy: Strategy) -> RayleighVerdict:
@@ -210,12 +203,12 @@ def check_pair(z: SubsetPoly, e: str, f: str, strategy: Strategy) -> RayleighVer
 def _recheck_witness(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction], value: Fraction) -> None:
     """Re-evaluate a refuting point exactly by two more routes.
 
-    `scalar_pair_diff` multiplies the slices' values from `evaluate`, not
-    from the point evaluator, and the measure that `covariance` sums does
-    not use the slices.  Each route clears the point's and the
-    coefficients' denominators on its own and sums Python ints, with no
-    2^shift scale shared with `pair_value`; unless both read the negative
-    `value`, raise ArithmeticError.
+    `scalar_pair_diff` shares the slices (`rayleigh_pairs`) with
+    `pair_value` but evaluates them with `term_values`.  `_masses`, behind
+    the covariance, shares `term_values` with `scalar_pair_diff` but sums
+    the whole of Z with no slicing.  No route shares `pair_value`'s 2^shift
+    scale, so no one fault passes all three.  Unless both routes read the
+    negative `value`, raise ArithmeticError.
     """
     sliced = scalar_pair_diff(z, e, f, point)
     # Cov = -y_e y_f D / Z(y)^2 for any positive y_e, y_f; at y_e = y_f = 1,
@@ -504,8 +497,8 @@ def negative_association_check(
     (block sizes capped at 3: 20 families each).  Everything is a Python
     int over one positive scale: with y_i = n_i / D over the lcm D of the
     point's denominators and the coefficients c * L over the lcm L of
-    theirs, the monomial y^w * D^m is the int built for every word by
-    doubling, and each term's mass lands in the cell (trace on block 1,
+    theirs, the monomial y^w * D^m is read from `monomial_table`, and
+    each term's mass lands in the cell (trace on block 1,
     trace on block 2) of a table with at most 8 x 8 cells.  The families
     are walked along `_upset_chain`, each one an earlier family plus one
     word, so each family's P(A), each row of P(A and .) and each
@@ -521,10 +514,8 @@ def negative_association_check(
         raise ValueError("blocks must partition the ground set")
     if len(b1) > 3 or len(b2) > 3:
         raise ValueError("block size capped at 3")
-    num, den = clear_denominators(_coordinates(z, point))
-    y = [1]
-    for n in num:
-        y = [*map(den.__mul__, y), *map(n.__mul__, y)]
+    _check_positive(point)
+    y = monomial_table(*clear_denominators(map(as_fraction, z.ground.coordinates(point))))
     coeffs, _ = clear_denominators(z.terms.values())
 
     pos1 = tuple(map(z.ground.index, b1))

@@ -1,9 +1,11 @@
 """Subset words: bit i of an int stands for the i-th element of a ground set.
 
-Re-indexing a word between ground sets and evaluating the monomial a word
-stands for are defined here once, for every module that keys terms by
-subset words.  `positions` always lists, for each bit of the smaller word,
-its index in the larger one: positions[j] is where bit j lives.
+Re-indexing a word between ground sets and the monomial a word stands for
+are defined here once: `term_value` for one word (the sparse form, behind
+the evaluators in `polynomials`) and `monomial_table` for every word at
+once (the dense form, behind the corpus scans).  `positions` always lists,
+for each bit of the smaller word, its index in the larger one:
+positions[j] is where bit j lives.
 """
 
 from __future__ import annotations
@@ -57,3 +59,11 @@ def term_value(c, vals: Sequence, word: int, sq: int = 0):
         prod = prod * (v * v if sq & low else v)
         word ^= low
     return prod
+
+
+def monomial_table(nums: Sequence[int], den: int) -> list[int]:
+    """prod(nums[i] for i in w) * den^(len(nums) - |w|) for every word w, built by doubling."""
+    table = [1]
+    for n in nums:
+        table = [*map(den.__mul__, table), *map(n.__mul__, table)]
+    return table

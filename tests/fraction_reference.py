@@ -1,7 +1,7 @@
 """Term-by-term `Fraction` sums: the tests' slow reference for the exact evaluators.
 
-The package evaluates polynomials, measures and forest size sums on Python
-ints over one cleared scale.  The sums here walk every term label by label
+The package evaluates terms, polynomials, measures and forest size sums on
+Python ints over one cleared scale.  The sums here walk every term label by label
 and multiply `Fraction`s, with no scale and no evaluator of the package, so
 an error in the package's scaling shows as a difference.
 """
@@ -25,6 +25,12 @@ def _keys(poly):
     for key, c in poly.terms.items():
         sup, sq = key if isinstance(key, tuple) else (key, 0)
         yield sup, sq, c
+
+
+def term_values(poly, point) -> list[Fraction]:
+    """Each term's value at the point, in term order."""
+    labels = poly.ground.labels
+    return [_monomial(c, labels, point, sup, sq) for sup, sq, c in _keys(poly)]
 
 
 def poly_value(poly, point) -> Fraction:

@@ -1,7 +1,7 @@
 """The exact evaluators against the term-by-term `Fraction` reference.
 
-`evaluate`, `_masses`, `covariance` and `forest_size_sums` sum Python ints
-over one cleared scale; `fraction_reference` sums `Fraction`s label by
+`term_values` gives each term as a Python int over one cleared scale, and
+`evaluate`, `_masses`, `covariance` and `forest_size_sums` sum those ints; `fraction_reference` sums `Fraction`s label by
 label.  The points mix non-dyadic denominators, and `evaluate` also gets
 zero and negative coordinates.
 """
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from rayleigh_forge import rayleigh
 from rayleigh_forge.matroids import Graph, forest_identity_at, forest_size_sums, forest_weights
 from rayleigh_forge.polynomials import GroundSet, QuadPoly, SubsetPoly, canonical_ground
-from rayleigh_forge.rayleigh import covariance, exchangeable_check, scalar_pair_diff
+from rayleigh_forge.rayleigh import covariance, exchangeable_check, negative_association_check, scalar_pair_diff
 from rayleigh_forge.scalars import clear_denominators, format_rat
 from rayleigh_forge.sequences import Seq, symseq_to_poly
 
@@ -50,6 +50,28 @@ def measure_case(draw):
 
 
 EMPTY = (SubsetPoly(canonical_ground(3), {}), "1", "3", {"1": F(1, 3), "2": F(5, 7), "3": 2})
+
+
+def check_term_values(poly, point):
+    values, scale = poly.term_values(point)
+    assert all(type(v) is int for v in values)
+    assert scale > 0
+    assert [Fraction(v, scale) for v in values] == reference.term_values(poly, point)
+
+
+@settings(max_examples=120, deadline=None)
+@given(poly_and_point(False, COORDINATE))
+@example((SubsetPoly(canonical_ground(2), {}), {"1": F(1, 3), "2": 0}))
+def test_subset_term_values_match_reference(case):
+    check_term_values(*case)
+
+
+@settings(max_examples=120, deadline=None)
+@given(poly_and_point(True, COORDINATE))
+@example((QuadPoly(canonical_ground(2), {}), {"1": F(-5, 7), "2": F(1, 3)}))
+@example((QuadPoly(canonical_ground(2), {(3, 3): F(2, 3), (1, 0): 1}), {"1": F(-5, 7), "2": 0}))
+def test_quad_term_values_match_reference(case):
+    check_term_values(*case)
 
 
 @settings(max_examples=120, deadline=None)
@@ -128,6 +150,12 @@ class TestFloatPoints:
             covariance(self.Z, "a", "b", {"a": 0.5, "b": F(1, 3), "c": 2})
         point = {"a": 1, "b": F(1, 3), "c": 2}
         assert covariance(self.Z, "a", "b", point) == reference.covariance(self.Z, "a", "b", point)
+
+    def test_negative_association_check(self):
+        with pytest.raises(TypeError, match="float"):
+            negative_association_check(self.Z, ("a",), ("b", "c"), {"a": 0.5, "b": F(1, 3), "c": 2})
+        report = negative_association_check(self.Z, ("a",), ("b", "c"), {"a": 1, "b": F(1, 3), "c": 2})
+        assert report.pairs_checked == 3 * 6
 
     def test_scalar_pair_diff(self):
         with pytest.raises(TypeError, match="float"):

@@ -80,6 +80,21 @@ def test_module_imports_are_acyclic():
         pytest.fail(f"import cycle: {exc.args[1]}")
 
 
+def test_one_sparse_evaluator():
+    """Only `polynomials` imports `term_value`: every other module evaluates a
+    point through `_TermPoly.term_values` or `pair_value`."""
+    importers = [
+        f"{stem}.py:{node.lineno}"
+        for stem, tree in MODULES.items()
+        if stem != "polynomials"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and package_targets(node)
+        for alias in node.names
+        if alias.name == "term_value"
+    ]
+    assert importers == []
+
+
 def test_benchmark_imports_resolve():
     """Every name perfbench/*.py imports from the package still exists; the test only reads perfbench/."""
     checked, missing = [], []

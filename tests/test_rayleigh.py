@@ -101,6 +101,11 @@ class TestScalarPairDiff:
         with pytest.raises(ValueError, match="'4'"):
             scalar_pair_diff(z, "1", "2", {"3": F(1)})
 
+    def test_refuses_one_element_twice(self):
+        z = model_poly(uniform_matroid(4, 2), Model("bases")).poly
+        with pytest.raises(ValueError, match="must be distinct"):
+            scalar_pair_diff(z, "1", "1", {"2": F(1), "3": F(1), "4": F(1)})
+
 
 class TestStrategies:
     def test_coeff_verifies_u32(self):

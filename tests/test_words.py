@@ -1,10 +1,10 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rayleigh_forge.polynomials import GroundSet, QuadPoly, SubsetPoly, canonical_ground
-from rayleigh_forge.words import bit_positions, compress, expand, popcount
+from rayleigh_forge.words import bit_positions, compress, expand, monomial_table, popcount
 
 F = Fraction
 
@@ -84,3 +84,17 @@ def test_quad_evaluate_matches_naive_product(case):
     g, terms, point = case
     expect = sum((naive_term(c, g, point, sup, sq) for (sup, sq), c in terms.items()), F(0))
     assert QuadPoly(g, terms).evaluate(point) == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=6), st.integers(1, 9))
+@example([0, 3, 0, -2], 5)
+def test_monomial_table_matches_naive_product(nums, den):
+    k = len(nums)
+    expect = []
+    for w in range(1 << k):
+        prod = 1
+        for i in range(k):
+            prod *= nums[i] if w >> i & 1 else den
+        expect.append(prod)
+    assert monomial_table(nums, den) == expect
