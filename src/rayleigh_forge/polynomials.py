@@ -15,9 +15,18 @@ each factor is scaled by the lcm L of its denominators, and each summed
 coefficient is divided back once at the end.  Scaling Z by L scales every
 pair difference by L^2, so the integer sums already carry the signs that
 the sign queries read, and the divided result is the exact rational
-difference.  `pair_value` evaluates the same signed integer slices at a
-dyadic point without building the product: with y_i = n_i / 2^s it sums
-ints equal to L^2 2^(2sk) times the value.
+difference.  The one kernel, `pair_sums`, picks its route from a count:
+when the term pairs a loop would visit, sum(|A| |B|), exceed
+PACK_SLOT_COST * 3^k + PACK_FIXED_COST on k variables, it packs each slice
+into one int (Kronecker substitution: word w at slot sum(3^i for i in w),
+B bits per slot) and multiplies the ints; else it loops.  B is the bit
+length of the bound 2^k * sum(max|A| * max|B|) on every summed
+coefficient plus a sign bit, in whole bytes, and a bias of 2^(B-1) per slot
+lets one `to_bytes` read the signed sums back with no borrows.  The
+coefficient verdicts read the signs of these ints directly.  `pair_value`
+evaluates the same signed integer slices at a dyadic point without
+building the product: with y_i = n_i / 2^s it sums ints equal to
+L^2 2^(2sk) times the value.
 
 The central construction is the Rayleigh difference
 
@@ -30,7 +39,9 @@ negative-correlation inequality for the pair {e, f}.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
@@ -330,9 +341,34 @@ def _scaled(terms: Mapping[int, object]) -> tuple[dict[int, int], int]:
 def pair_products(ground: GroundSet, den: int, *pairs: tuple[int, dict, dict]) -> QuadPoly:
     """sum(sign * A * B) / den over signed pairs of integer word-keyed slices.
 
-    The one pair-product kernel: Python ints accumulate under the keys
-    (w1 | w2, w1 & w2), and only the surviving sums become Fractions.
+    The one route to a `QuadPoly` product: `pair_sums` gives the integer
+    sums, and only the surviving ones become Fractions.
     """
+    return QuadPoly(ground, {key: Fraction(n, den) for key, n in pair_sums(ground.m, pairs).items()})
+
+
+# Packing pays once sum(|A| |B|) passes about PACK_SLOT_COST slots per
+# term pair plus a fixed call cost; both constants are measured crossovers.
+PACK_SLOT_COST = 3
+PACK_FIXED_COST = 100
+
+
+def pair_sums(k: int, pairs: Sequence[tuple[int, dict, dict]]) -> dict[tuple[int, int], int]:
+    """{(w1 | w2, w1 & w2): sum(sign * A[w1] * B[w2])} over signed pairs of int slices on k variables.
+
+    The one pair-product kernel, zeros dropped.  It counts the term pairs
+    sum(|A| |B|) that a dict loop would visit: above
+    PACK_SLOT_COST * 3^k + PACK_FIXED_COST it packs (`_packed_sums`),
+    else it loops (`_dict_sums`).  Both routes return the same dict.
+    """
+    work = sum(len(a) * len(b) for _, a, b in pairs)
+    if work > PACK_SLOT_COST * 3**k + PACK_FIXED_COST:
+        return _packed_sums(k, pairs)
+    return _dict_sums(pairs)
+
+
+def _dict_sums(pairs: Sequence[tuple[int, dict, dict]]) -> dict[tuple[int, int], int]:
+    """The kernel as a loop over every term pair, accumulating under (w1 | w2, w1 & w2)."""
     acc: dict[tuple[int, int], int] = {}
     get = acc.get
     for sign, a, b in pairs:
@@ -342,7 +378,74 @@ def pair_products(ground: GroundSet, den: int, *pairs: tuple[int, dict, dict]) -
             for w2, c2 in b_items:
                 key = (w1 | w2, w1 & w2)
                 acc[key] = get(key, 0) + c1 * c2
-    return QuadPoly(ground, {k: Fraction(n, den) for k, n in acc.items() if n})
+    return {key: n for key, n in acc.items() if n}
+
+
+def _packed_sums(k: int, pairs: Sequence[tuple[int, dict, dict]]) -> dict[tuple[int, int], int]:
+    """The kernel by Kronecker substitution: one bigint multiply per signed pair.
+
+    A word w becomes the exponent enc3(w) = sum(3^i for i in w), so the
+    product of y^w1 and y^w2 lands on enc3(w1) + enc3(w2), whose base-3
+    digit i is 0, 1 or 2: it is 1 or more exactly when i is in w1 | w2, and
+    2 exactly when i is in w1 & w2.  The 3^k slot indices below 3^k thus
+    spell every key (sup, sq) once.  Each slice becomes one int with B bits
+    per slot, packed through a byte buffer, so packing costs time linear in
+    the slots.
+
+    B comes from a bound: a key (sup, sq) has 2^(|sup| - |sq|) <= 2^k
+    preimages (w1, w2), so every summed slot has |s| <= M =
+    2^k * sum(max|A| * max|B|) over the pairs.  B is M's bit length plus a
+    sign bit, rounded up to whole bytes, so |s| < 2^(B - 1); up to 8 bytes
+    it is rounded on to 1, 2, 4 or 8, so that one `struct.unpack` reads the
+    slots.  Adding the bias 2^(B - 1) to every slot makes each digit
+    s + 2^(B - 1) lie in [0, 2^B), so the biased sum has no borrows and one
+    `to_bytes` reads every slot back.
+    """
+    pairs = [(sign, a, b) for sign, a, b in pairs if _max_abs(a) and _max_abs(b)]  # the rest add 0
+    bound = sum(_max_abs(a) * _max_abs(b) for _, a, b in pairs) << k
+    width = (bound.bit_length() + 8) // 8  # B / 8: bound < 2^(B - 1)
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+    enc, keys = _small_base3_tables(k) if k <= 8 else _base3_tables(k)
+    total = 0
+    for sign, a, b in pairs:
+        total += sign * _pack(a, enc, width) * _pack(b, enc, width)
+    half = 1 << 8 * width - 1
+    slots = len(keys)
+    total += int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    data = total.to_bytes(slots * width, "little")
+    if width <= 8:
+        digits = struct.unpack(f"<{slots}{'BHIQ'[width.bit_length() - 1]}", data)
+    else:
+        digits = (int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
+    return {key: d - half for key, d in zip(keys, digits) if d != half}
+
+
+def _max_abs(terms: Mapping[int, int]) -> int:
+    return max(map(abs, terms.values()), default=0)
+
+
+def _pack(terms: Mapping[int, int], enc: Sequence[int], width: int) -> int:
+    """sum(c * 2^(8 width enc3(w))) over the terms, from one buffer per sign."""
+    size = (enc[-1] + 1) * width
+    pos, neg = bytearray(size), bytearray(size)
+    for w, c in terms.items():
+        at = enc[w] * width
+        (pos if c > 0 else neg)[at : at + width] = abs(c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _base3_tables(k: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """enc3(w) for every word w < 2^k, and the key (sup, sq) of every slot below 3^k."""
+    enc, keys = [0], [(0, 0)]
+    for i in range(k):
+        bit, step = 1 << i, 3**i
+        enc += [e + step for e in enc]
+        keys += [(sup | bit, sq) for sup, sq in keys] + [(sup | bit, sq | bit) for sup, sq in keys]
+    return enc, keys
+
+
+_small_base3_tables = cache(_base3_tables)
 
 
 def pair_value(vals: Sequence[Fraction], shift: int, den: int, *pairs: tuple[int, dict, dict]) -> tuple[int, int]:

@@ -4,7 +4,8 @@ A weight function is Rayleigh when every pair difference
 rayleigh_diff(Z, e, f) is nonnegative on the positive orthant.  Sufficient
 routes to Verified:
 
-  * every coefficient of the difference is nonnegative, or
+  * every coefficient of the difference is nonnegative, read as the signs
+    of the pair kernel's integer sums, or
   * the difference dominates an explicit sum of squares
     sum(lambda_i (y^Ai - y^Bi)^2) coefficientwise.
 
@@ -14,9 +15,10 @@ scaled by the lcm of its denominators, each dyadic point by 2^shift, and
 `pair_value` sums the four integer slices there, so only the sign of one int
 is read per point.  The sampler feeds it log-uniform points and
 `exchangeable_check` a dyadic ladder.  Before it returns a refuting point it
-re-evaluates the point exactly by two routes, `scalar_pair_diff` (the same
-slices, another evaluator) and `covariance` (the measure summed over the
-whole of Z, no slicing), and all three values must agree exactly.  Both
+re-evaluates the point exactly by two routes, the slice route of
+`scalar_pair_diff` (the very slices it searched, another evaluator) and
+`covariance` (the measure summed over the whole of Z, no slicing), and all
+three values must agree exactly.  Both
 re-check routes sum the package's one sparse evaluator,
 `_TermPoly.term_values`, whose scale is not `pair_value`'s 2^shift.
 Sampling that finds no negative point is only ever Inconclusive.
@@ -31,10 +33,12 @@ from typing import Iterable, Mapping
 
 from .matroids import Matroid
 from .polynomials import (
+    GroundSet,
     QuadPoly,
     SubsetPoly,
     elementary_values,
     pair_products,
+    pair_sums,
     pair_value,
     rayleigh_diff,
     rayleigh_pairs,
@@ -188,29 +192,55 @@ def scalar_pair_diff(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction
     neither the pair-product kernel nor `pair_value`; used to re-check
     refutation witnesses.
     """
-    sub, den, pairs = rayleigh_pairs(z, e, f)
+    return _sliced_value(rayleigh_pairs(z, e, f), point)
+
+
+def _sliced_value(slices: tuple[GroundSet, int, tuple], point: Mapping[str, Fraction]) -> Fraction:
+    """sum(sign * A(y) * B(y)) / den over `rayleigh_pairs`' slices, each slice through `evaluate`."""
+    sub, den, pairs = slices
     values = (sign * SubsetPoly(sub, a).evaluate(point) * SubsetPoly(sub, b).evaluate(point) for sign, a, b in pairs)
     return sum(values) / den
 
 
 def check_pair(z: SubsetPoly, e: str, f: str, strategy: Strategy) -> RayleighVerdict:
-    """One pair, one strategy."""
+    """One pair, one strategy.
+
+    With no certificate for the pair, the coefficient verdict reads the
+    signs of the kernel's integer sums: they are L^2 times D's coefficients,
+    and L^2 > 0 cannot flip a sign, so no Fraction is built.
+    """
     if isinstance(strategy, SampleStrategy):
         return _sample(z, e, f, strategy)
-    return _judge(rayleigh_diff(z, e, f), (e, f), strategy.certificate_for(e, f))
+    cert = strategy.certificate_for(e, f)
+    if cert.terms:
+        nonnegative = _residue(rayleigh_diff(z, e, f), (e, f), cert).is_coefficientwise_nonnegative()
+    else:
+        sub, _, pairs = rayleigh_pairs(z, e, f)
+        nonnegative = min(pair_sums(sub.m, pairs).values(), default=0) >= 0
+    if nonnegative:
+        return RayleighVerdict("verified", method="certificate" if cert.terms else "coeff-positive", pair=(e, f))
+    return RayleighVerdict("inconclusive", pair=(e, f), samples=0)
 
 
-def _recheck_witness(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction], value: Fraction) -> None:
+def _recheck_witness(
+    z: SubsetPoly,
+    e: str,
+    f: str,
+    point: Mapping[str, Fraction],
+    value: Fraction,
+    slices: tuple[GroundSet, int, tuple] | None = None,
+) -> None:
     """Re-evaluate a refuting point exactly by two more routes.
 
-    `scalar_pair_diff` shares the slices (`rayleigh_pairs`) with
-    `pair_value` but evaluates them with `term_values`.  `_masses`, behind
-    the covariance, shares `term_values` with `scalar_pair_diff` but sums
-    the whole of Z with no slicing.  No route shares `pair_value`'s 2^shift
-    scale, so no one fault passes all three.  Unless both routes read the
-    negative `value`, raise ArithmeticError.
+    The slice route of `scalar_pair_diff` shares the slices
+    (`rayleigh_pairs`) with `pair_value` but evaluates them with
+    `term_values`.  `_masses`, behind the covariance, shares `term_values`
+    with the slice route but sums the whole of Z with no slicing.  No route shares `pair_value`'s 2^shift
+    scale, so no one fault passes all three.  `slices` are the pair's
+    `rayleigh_pairs`, when the caller already holds them.  Unless both
+    routes read the negative `value`, raise ArithmeticError.
     """
-    sliced = scalar_pair_diff(z, e, f, point)
+    sliced = _sliced_value(slices or rayleigh_pairs(z, e, f), point)
     # Cov = -y_e y_f D / Z(y)^2 for any positive y_e, y_f; at y_e = y_f = 1,
     # D = -Z^2 Cov = p_e p_f - p_ef Z
     total, p_e, p_f, p_ef = _masses(z, e, f, {**point, e: Fraction(1), f: Fraction(1)})
@@ -223,17 +253,13 @@ def _recheck_witness(z: SubsetPoly, e: str, f: str, point: Mapping[str, Fraction
         )
 
 
-def _judge(diff: QuadPoly, pair: tuple[str, str], cert: SquareCertificate) -> RayleighVerdict:
-    """Verified when D less the certificate is coefficientwise nonnegative."""
+def _residue(diff: QuadPoly, pair: tuple[str, str], cert: SquareCertificate) -> QuadPoly:
+    """D less the pair's certificate; a certificate naming e or f is a ValueError."""
     e, f = pair
     for lab in pair:
         if any(lab in a or lab in b for _, a, b in cert.terms):
             raise ValueError(f"certificate for pair ({e},{f}) names the pair's own element {lab!r}")
-    if cert.terms:
-        diff = diff - cert.expand(diff.ground)
-    if diff.is_coefficientwise_nonnegative():
-        return RayleighVerdict("verified", method="certificate" if cert.terms else "coeff-positive", pair=pair)
-    return RayleighVerdict("inconclusive", pair=pair, samples=0)
+    return diff - cert.expand(diff.ground)
 
 
 def _first_negative(
@@ -246,13 +272,13 @@ def _first_negative(
     negative and passes `_recheck_witness`, else (points read, None, least
     value read).
     """
-    sub, den, pairs = rayleigh_pairs(z, e, f)
+    slices = sub, den, pairs = rayleigh_pairs(z, e, f)
     least = None
     for read, point in enumerate(points, 1):
         num, scale = pair_value(sub.coordinates(point), shift, den, *pairs)
         if num < 0:
             value = Fraction(num, scale)
-            _recheck_witness(z, e, f, point, value)
+            _recheck_witness(z, e, f, point, value, slices)
             return read, point, value
         if least is None or num < least:
             least = num

@@ -1,26 +1,35 @@
 """The integer pair-product kernel and point evaluator against a Fraction reference.
 
-`multiply`, `rayleigh_diff` and `theta` share one integer kernel, and
-`pair_value` evaluates the same integer slices at a point.  The reference
-here slices through label sets and multiplies `Fraction` coefficients term
-by term, so it shares neither the kernel, the evaluator, the scaling nor
-the word re-indexing with the code under test.
+`multiply`, `rayleigh_diff` and `theta` share one integer kernel,
+`pair_sums`, with a dict route and a packed route, and `pair_value`
+evaluates the same integer slices at a point.  The reference here slices
+through label sets and multiplies `Fraction` coefficients term by term, so
+it shares neither the kernel, the evaluator, the scaling nor the word
+re-indexing with the code under test.  The coefficient verdicts read the
+kernel's integer signs; they must agree with the `Fraction` difference.
 """
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rayleigh_forge import polynomials
 from rayleigh_forge.corpus import k4_certificates
 from rayleigh_forge.matroids import complete_graph, cycle_graph, graphic_matroid, uniform_matroid
 from rayleigh_forge.polynomials import (
+    PACK_FIXED_COST,
+    PACK_SLOT_COST,
     GroundSet,
     QuadPoly,
     SubsetPoly,
+    _dict_sums,
+    _packed_sums,
     canonical_ground,
     multiply,
+    pair_sums,
     pair_value,
     rayleigh_diff,
     rayleigh_pairs,
@@ -29,7 +38,7 @@ from rayleigh_forge.polynomials import (
 )
 from rayleigh_forge.potts import Model, model_poly, potts_poly
 from rayleigh_forge.prng import DENOMINATOR_BITS, SplitMix64, sample_point
-from rayleigh_forge.rayleigh import SquareCertificate
+from rayleigh_forge.rayleigh import CoeffStrategy, SquareCertificate, check_all, check_pair
 
 F = Fraction
 
@@ -242,3 +251,135 @@ def test_certificate_residue_matches_reference(scale):
     assert residue == QuadPoly(sub, terms) - expanded
     assert not diff.is_coefficientwise_nonnegative()
     assert residue.is_coefficientwise_nonnegative()
+
+
+# --- the kernel's two routes --------------------------------------------------
+
+# small, word-sized and wider than eight bytes, so slots of 1 to 8 bytes and wider ones all occur
+INTS = st.one_of(st.integers(-12, 12), st.integers(-(2**40), 2**40), st.integers(-(2**70), 2**70))
+
+
+def ref_sums(pairs) -> dict:
+    total: dict = {}
+    for sign, a, b in pairs:
+        fa = {w: F(c) for w, c in a.items()}
+        for key, c in ref_product(fa, {w: F(c) for w, c in b.items()}).items():
+            total[key] = total.get(key, F(0)) + sign * c
+    return {key: c for key, c in total.items() if c}
+
+
+def routes(k: int, pairs) -> list[dict]:
+    return [_dict_sums(pairs), _packed_sums(k, pairs)]
+
+
+@st.composite
+def signed_pairs(draw, max_k: int = 8):
+    """k in 0..max_k and up to four signed pairs of int slices on k variables; slices may be empty."""
+    k = draw(st.integers(0, max_k))
+    slices = st.dictionaries(st.integers(0, (1 << k) - 1), INTS, max_size=40)
+    return k, draw(st.lists(st.tuples(st.sampled_from((1, -1)), slices, slices), max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_pairs())
+def test_both_routes_match_fraction_reference(drawn):
+    k, pairs = drawn
+    want = ref_sums(pairs)
+    for got in routes(k, pairs):
+        assert got == want
+        assert all(type(n) is int and n for n in got.values())
+    assert pair_sums(k, pairs) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 8),
+    st.lists(st.tuples(st.integers(1, 70), st.integers(1, 70), st.sampled_from((0, -1))), min_size=1, max_size=3),
+    st.sampled_from((1, -1)),
+)
+def test_both_routes_reach_the_proven_slot_bound(k, sizes, sign):
+    # A and B hold every word at 2^a + d and 2^b + d, signed so that every
+    # product has one sign: the key (full, 0) has 2^k preimages, each at
+    # max|A| max|B|, so its slot sits on the bound 2^k sum(max|A| max|B|)
+    full = (1 << k) - 1
+    pairs = []
+    for i, (a, b, d) in enumerate(sizes):
+        ca, cb = 2**a + d, 2**b + d
+        flip = -1 if i % 2 else 1
+        pairs.append((sign * flip, {w: flip * ca for w in range(full + 1)}, {w: cb for w in range(full + 1)}))
+    bound = sum((2**a + d) * (2**b + d) for a, b, d in sizes) << k
+    by_dict, packed = routes(k, pairs)
+    assert packed == by_dict
+    assert packed[full, 0] == sign * bound
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_routes_agree_on_empty_and_cancelling_pairs(k):
+    words = range(1 << k)
+    a = {w: w + 1 for w in words}
+    cancelling = ((1, a, a), (-1, a, a))
+    for pairs in ((), ((1, {}, a),), ((-1, a, {}),), cancelling):
+        assert routes(k, pairs) == [{}, {}]
+        assert pair_sums(k, pairs) == {}
+
+
+def test_pair_sums_picks_its_route_by_counted_work(monkeypatch):
+    taken = []
+    monkeypatch.setattr(polynomials, "_dict_sums", lambda pairs: taken.append("dict") or {})
+    monkeypatch.setattr(polynomials, "_packed_sums", lambda k, pairs: taken.append("packed") or {})
+    for k in (2, 4, 6):
+        limit = PACK_SLOT_COST * 3**k + PACK_FIXED_COST
+        for work in (limit, limit + 1):
+            pair_sums(k, ((1, dict.fromkeys(range(work), 1), {0: 1}),))
+    assert taken == ["dict", "packed"] * 3
+
+
+# --- coefficient verdicts on the kernel's integer signs ----------------------
+
+
+def assert_verdicts_match_fractions(z: SubsetPoly) -> None:
+    for (e, f), verdict in check_all(z, CoeffStrategy()).verdicts.items():
+        nonnegative = rayleigh_diff(z, e, f).is_coefficientwise_nonnegative()
+        assert verdict.verified == nonnegative
+        assert verdict.describe() == ("Verified (coeff-positive)" if nonnegative else "Inconclusive (0 samples)")
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_polys(2, 7))
+def test_integer_verdicts_match_fraction_verdicts(z):
+    assert_verdicts_match_fractions(z)
+
+
+@pytest.mark.parametrize("matroid", POTTS_MATROIDS)
+@pytest.mark.parametrize("q0", [F(1, 2), F(3, 2), F(2)])
+def test_potts_integer_verdicts_match_fraction_verdicts(matroid, q0):
+    assert_verdicts_match_fractions(potts_poly(matroid, q0).poly)
+
+
+def test_lone_negative_coefficient_of_one_over_l_squared():
+    # Z = (1 + y_e y_f + y_e y_g + y_f y_g) / 3, so L = 3 and D = (y_g^2 - 1) / 9
+    z = SubsetPoly(GroundSet("efg"), {0: F(1, 3), 3: F(1, 3), 5: F(1, 3), 6: F(1, 3)})
+    diff = rayleigh_diff(z, "e", "f")
+    assert diff.terms == {(1, 1): F(1, 9), (0, 0): F(-1, 9)}
+    sub, den, pairs = rayleigh_pairs(z, "e", "f")
+    assert den == 9
+    assert routes(sub.m, pairs) == [{(1, 1): 1, (0, 0): -1}] * 2
+    assert check_pair(z, "e", "f", CoeffStrategy()).describe() == "Inconclusive (0 samples)"
+
+
+def test_zero_difference_is_verified():
+    # Z = (1 + y_e)(2 + y_f)(3 + 4 y_g) / 5: every pair independent, every D zero
+    g = GroundSet("efg")
+    factors = ((1, 1), (2, 1), (3, 4))
+    z = SubsetPoly(g, {w: F(prod(f[w >> i & 1] for i, f in enumerate(factors)), 5) for w in g.subsets()})
+    for e, f in (("e", "f"), ("e", "g"), ("f", "g")):
+        assert rayleigh_diff(z, e, f).is_zero()
+        sub, _, pairs = rayleigh_pairs(z, e, f)
+        assert routes(sub.m, pairs) == [{}, {}]
+        assert check_pair(z, e, f, CoeffStrategy()).describe() == "Verified (coeff-positive)"
+
+
+def test_certificate_verdict_still_reads_the_residue():
+    z = model_poly(graphic_matroid(complete_graph(4)), Model("independent")).poly
+    assert check_pair(z, "1", "6", CoeffStrategy()).describe() == "Inconclusive (0 samples)"
+    assert check_pair(z, "1", "6", CoeffStrategy(k4_certificates())).describe() == "Verified (certificate)"
